@@ -1,20 +1,19 @@
 //! Experiment harness regenerating every figure of the paper plus the
-//! derived experiments listed in `DESIGN.md`.
+//! derived experiments (the e1–e11 table in `README.md`).
 //!
 //! Every simulation-backed experiment (e1–e4, e8, e9) is a declarative
 //! scenario [`Matrix`] defined in [`figures`]
 //! and executed through the **content-addressed result store** shared by all
-//! invocations: re-running an experiment (or timing it under the criterion
-//! facade) answers from the store instead of re-simulating, and the figure
+//! invocations: re-running an experiment answers from the store instead of
+//! re-simulating, and the figure
 //! exports are pinned byte-for-byte against `golden/` by
 //! `tests/paper_figures.rs` and the CI `paper-figures` job. The analytic
 //! experiments (e5, e6) and the cycle-level cross-validation (e7) are pure
 //! functions and need no store.
 //!
 //! Each `fig*`/`e*` function returns a printable [`ExperimentResult`]; the
-//! `experiments` binary prints them, the Criterion benches under `benches/`
-//! time the same (store-backed) functions, and the `sweep --figures` CLI
-//! renders the full gallery.
+//! `experiments` binary prints them, and the `sweep --figures` CLI renders
+//! the full gallery.
 
 pub mod figures;
 
@@ -45,7 +44,7 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Renders the result as the text block recorded in `EXPERIMENTS.md`.
+    /// Renders the result as the text block the `experiments` binary prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));
@@ -60,8 +59,7 @@ impl ExperimentResult {
     }
 }
 
-/// The store directory every experiment run shares (and `cargo bench`'s
-/// criterion facade warms on its first sample): `RACKFABRIC_STORE_DIR` when
+/// The store directory every experiment run shares: `RACKFABRIC_STORE_DIR` when
 /// set, otherwise `target/figure-store` inside this checkout — per-checkout
 /// (no cross-user collisions in a shared temp dir) and cleared by
 /// `cargo clean`.
@@ -408,9 +406,9 @@ pub fn e9_scenario_matrix(sides: &[usize], loads: &[f64], seeds: usize) -> Exper
     }
 }
 
-/// Runs every experiment at the scale used for `EXPERIMENTS.md`, resolving
-/// each simulation job through the shared result store: a warm store (e.g.
-/// the second criterion sample of `cargo bench`) re-executes **nothing**.
+/// Runs every experiment at the paper reproduction scale (the one
+/// `golden/paper/` pins), resolving each simulation job through the shared
+/// result store: a warm store re-executes **nothing**.
 pub fn run_all() -> Vec<ExperimentResult> {
     vec![
         fig1_latency_vs_hops(21),

@@ -27,9 +27,9 @@ use rackfabric_topo::spec::{EdgeSpec, LinkClass, TopologyKind, TopologySpec};
 
 /// Decodes a canonical spec JSON document into a runnable spec.
 ///
-/// Key-neutral fields (name, scheduler) get defaults; the engine kind maps
-/// back to `shards` 0 (monolithic) or 1 (sharded) — any positive shard
-/// count is key-equivalent, so 1 is the canonical representative.
+/// Key-neutral fields (name, shard count) get defaults: every shard count is
+/// key-equivalent, so the default single shard is the canonical
+/// representative.
 pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
     let doc = json::parse(spec_json).map_err(|e| format!("spec json: {e}"))?;
     let topology = decode_topology(field(&doc, "topology")?)?;
@@ -41,11 +41,6 @@ pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
         t => Some(decode_topology(t)?),
     };
     spec.controller = decode_controller(field(&doc, "controller")?)?;
-    spec.shards = match str_field(&doc, "engine")? {
-        "monolithic" => 0,
-        "sharded" => 1,
-        other => return Err(format!("unknown engine kind {other:?}")),
-    };
     spec.event_budget = uint_field(&doc, "event_budget")?;
     spec.horizon = SimTime::from_picos(uint_field(&doc, "horizon_ps")?);
     spec.lane_rate = BitRate::from_bps(uint_field(&doc, "lane_rate_bps")?);
@@ -387,7 +382,7 @@ mod tests {
         adaptive.phy.active_lanes = Some(2);
         adaptive.phy.power = PowerState::LowPower;
         adaptive.phy.bypassed_nodes = 2;
-        adaptive.shards = 3; // canonicalises to "sharded"
+        adaptive.shards = 3; // key-neutral: decodes to the default count
         adaptive.upgrade = Some(TopologySpec::grid(2, 2, 1));
         assert_round_trip(&adaptive);
 

@@ -7,19 +7,13 @@
 //! configuration, exactly as the paper's "backwards compatibility" section
 //! implies (the baseline is what you get if you never issue a PLP command).
 
-use crate::fabric::{run_fabric, AdaptiveFabric, FabricConfig};
+use crate::fabric::FabricConfig;
 use rackfabric_topo::spec::TopologySpec;
-use rackfabric_workload::Flow;
 
 /// Builds the baseline configuration for a topology (thin wrapper around
 /// [`FabricConfig::baseline`] so call sites read clearly).
 pub fn baseline_config(spec: TopologySpec) -> FabricConfig {
     FabricConfig::baseline(spec)
-}
-
-/// Runs the static baseline over a workload.
-pub fn run_baseline(spec: TopologySpec, flows: Vec<Flow>) -> AdaptiveFabric {
-    run_fabric(FabricConfig::baseline(spec), flows)
 }
 
 #[cfg(test)]
@@ -38,6 +32,7 @@ mod tests {
 
     #[test]
     fn baseline_never_issues_plp_commands() {
+        use crate::shard::{run_sharded, ShardedConfig};
         use rackfabric_sim::config::SimConfig;
         use rackfabric_sim::time::SimTime;
         use rackfabric_sim::DetRng;
@@ -46,8 +41,8 @@ mod tests {
             MapReduceShuffle::all_to_all(4, Bytes::from_kib(4)).generate(&mut DetRng::new(1));
         let mut config = baseline_config(TopologySpec::grid(2, 2, 2));
         config.sim = SimConfig::with_seed(1).horizon(SimTime::from_millis(50));
-        let fabric = crate::fabric::run_fabric(config, flows);
-        assert!(fabric.all_flows_complete());
+        let fabric = run_sharded(ShardedConfig::new(config, 1), flows);
+        assert!(fabric.all_flows_complete);
         assert!(fabric.metrics.reconfig_events.is_empty());
         assert_eq!(fabric.metrics.topology_reconfigurations, 0);
     }

@@ -23,11 +23,11 @@
 //! * [`breakeven`] — the minimum-flow-size-for-reconfiguration analysis.
 //! * [`reconfigure`] — planning and applying whole-topology changes
 //!   (e.g. grid → torus) as PLP command sequences.
-//! * [`fabric`] — the discrete-event fabric simulation tying the physical
-//!   layer, switching, workloads and the CRC together.
-//! * [`shard`] — the sharded multi-rack engine: the same fabric partitioned
-//!   into rack groups, advanced in conservative time windows with
-//!   bit-identical results for any shard count.
+//! * [`fabric`] — the fabric model's configuration: physical layer,
+//!   switching, routing and the CRC, as plain data.
+//! * [`shard`] — the discrete-event engine that runs it: the fabric
+//!   partitioned into rack groups, advanced in conservative time windows
+//!   with bit-identical results for any shard count (one shard included).
 //! * [`baseline`] — the same fabric with the CRC disabled (the static
 //!   packet-switched comparison point).
 //! * [`metrics`] — per-run metrics and summaries.
@@ -46,10 +46,11 @@
 //!
 //! let mut config = FabricConfig::adaptive(spec);
 //! config.sim = SimConfig::with_seed(42).horizon(SimTime::from_millis(100));
-//! let fabric = run_fabric(config, flows);
+//! // One rack group; any shard count gives the same bytes.
+//! let run = run_sharded(ShardedConfig::new(config, 1), flows);
 //!
-//! assert!(fabric.all_flows_complete());
-//! let summary = fabric.metrics.summary();
+//! assert!(run.all_flows_complete);
+//! let summary = run.metrics.summary();
 //! assert!(summary.packet_latency.p99 > 0.0);
 //! ```
 
@@ -65,10 +66,10 @@ pub mod shard;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use crate::baseline::{baseline_config, run_baseline};
+    pub use crate::baseline::baseline_config;
     pub use crate::breakeven::{evaluate as breakeven_evaluate, min_flow_size, BreakEvenInput};
     pub use crate::controller::{ClosedRingControl, CrcConfig, CrcDecision};
-    pub use crate::fabric::{run_fabric, AdaptiveFabric, FabricConfig, FabricEvent};
+    pub use crate::fabric::FabricConfig;
     pub use crate::metrics::{FabricMetrics, RunSummary};
     pub use crate::policy::CrcPolicy;
     pub use crate::price::{LinkPrice, PriceBook, PriceNormalization, PriceWeights};
@@ -79,9 +80,9 @@ pub mod prelude {
     pub use rackfabric_topo::spec::TopologySpec;
 }
 
-pub use baseline::run_baseline;
 pub use controller::{ClosedRingControl, CrcConfig};
-pub use fabric::{run_fabric, AdaptiveFabric, FabricConfig};
+pub use fabric::FabricConfig;
 pub use metrics::{FabricMetrics, RunSummary};
 pub use policy::CrcPolicy;
 pub use price::{PriceBook, PriceWeights};
+pub use shard::{run_sharded, ShardedConfig, ShardedFabric, ShardedRun};

@@ -1,9 +1,7 @@
-//! The sharded multi-rack fabric engine.
-//!
-//! [`run_fabric`](crate::fabric::run_fabric) simulates the whole fabric on
-//! one core. This module splits the same model across **shards** — rack
-//! groups of nodes, see [`FabricPartition`] — and drives them with the
-//! conservative time-window engine in [`rackfabric_sim::windowed`]:
+//! The fabric engine: the model of [`crate::fabric`] split across
+//! **shards** — rack groups of nodes, see [`FabricPartition`] — and driven
+//! by the conservative time-window engine in [`rackfabric_sim::windowed`].
+//! One shard is the single-core case of the same engine:
 //!
 //! * Every shard owns the dense per-link/per-port state its nodes transmit
 //!   on (egress queues, epoch byte counters, NICs) plus the flow progress of
@@ -12,20 +10,22 @@
 //!   destination shard through a mailbox envelope timestamped with the
 //!   train's exact analytic arrival; the cut link's propagation + FEC
 //!   latency is what funds the conservative lookahead.
-//! * Flow accounting that the monolithic engine did across nodes in one
-//!   address space becomes explicit messages: a delivery at the destination
-//!   sends a **delivery ack** to the source shard after `ack_delay`, and a
-//!   mid-route drop sends a **drop ack** after the retry delay. The acks
-//!   travel through the same keyed mailbox path even when source and
-//!   destination share a shard, which is precisely why a 1-shard run is
-//!   bit-identical to an N-shard run: every shard sees the same events, at
-//!   the same instants, in the same content-keyed order.
+//! * Flow accounting across nodes is explicit messages: a delivery at the
+//!   destination sends a **delivery ack** to the source shard after
+//!   `ack_delay`, and a mid-route drop sends a **drop ack** after the retry
+//!   delay. The acks travel through the same keyed mailbox path even when
+//!   source and destination share a shard, which is precisely why a 1-shard
+//!   run is bit-identical to an N-shard run: every shard sees the same
+//!   events, at the same instants, in the same content-keyed order. A
+//!   delivery ack carries the delivery instant, and flow completion is
+//!   recorded at that instant — the ack's latency delays only the source's
+//!   bookkeeping, never the measured FCT or JCT.
 //! * The Closed Ring Control runs at **sync points** aligned with its
 //!   control epoch: the coordinator merges per-shard telemetry (byte
 //!   counters summed per link in dense order, port occupancies from their
-//!   owning shards), prices and decides exactly like the monolithic engine,
-//!   and broadcasts the results — link constants, price-derived cost maps,
-//!   and **reconfiguration fences that span shards** (a fence on a cut link
+//!   owning shards), prices and decides, and broadcasts the results — link
+//!   constants, the bypass table, price-derived cost maps, and
+//!   **reconfiguration fences that span shards** (a fence on a cut link
 //!   pauses traffic on both sides) — back to every shard.
 //!
 //! ## Determinism contract
@@ -36,12 +36,6 @@
 //! or sorted, windows are planned from shard-count-independent quantities
 //! (the global earliest pending event and the minimum live-link latency),
 //! and the CRC consumes telemetry merged in dense link order.
-//!
-//! Because flow acks are modelled as messages with real latency, the
-//! sharded engine is a *different model* from the monolithic one (a drop is
-//! known to the source a retry-delay later, completion an ack-delay later):
-//! its exports are internally consistent across shard counts, not
-//! byte-comparable to `run_fabric`.
 
 use crate::controller::ClosedRingControl;
 use crate::fabric::{FabricConfig, LinkHot};
@@ -51,10 +45,11 @@ use crate::reconfigure;
 use rackfabric_obs::profile::{WindowProfile, WindowProfiler};
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_phy::{LinkId, PhyState, PlpExecutor};
-use rackfabric_sim::engine::RunOutcome;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
-use rackfabric_sim::windowed::{ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim};
+use rackfabric_sim::windowed::{
+    RunOutcome, ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim,
+};
 use rackfabric_switch::nic::Nic;
 use rackfabric_switch::packet::{FlowId, Packet};
 use rackfabric_switch::queue::EgressQueue;
@@ -62,7 +57,7 @@ use rackfabric_switch::train::train_frames;
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
 use rackfabric_topo::cache::{InternedRoute, RouteCache};
 use rackfabric_topo::partition::FabricPartition;
-use rackfabric_topo::routing::RoutingAlgorithm;
+use rackfabric_topo::routing::{self, RoutingAlgorithm};
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
 use rackfabric_workload::Flow;
@@ -74,8 +69,8 @@ use std::sync::Arc;
 pub struct ShardedConfig {
     /// The underlying fabric configuration (topology, workload knobs, CRC).
     pub fabric: FabricConfig,
-    /// Number of shards (rack groups). Clamped to the node count; `1` runs
-    /// the reference single-shard engine with identical semantics.
+    /// Number of shards (rack groups). Clamped to the node count; every
+    /// count from `1` up gives byte-identical results.
     pub shards: usize,
     /// Latency of a delivery acknowledgement back to the flow's source
     /// shard. Defaults to the fabric's retry delay.
@@ -173,6 +168,8 @@ pub enum ShardEvent {
         flow: u32,
         /// Bytes the destination received from the acked train.
         bytes: u64,
+        /// The instant the train's last packet reached the destination.
+        at: SimTime,
     },
     /// Drop notification to the flow's source shard (the retry trigger).
     Dropped {
@@ -189,8 +186,10 @@ struct FlowProgress {
     injected: u64,
     delivered: u64,
     completed: bool,
-    /// True while an [`ShardEvent::Inject`] is pending (one injector chain
-    /// per flow, exactly like the monolithic engine).
+    /// True while an [`ShardEvent::Inject`] is pending. Each flow keeps
+    /// exactly **one** injector chain: without this, every drop-retry would
+    /// spawn another chain, and thousands of concurrent chains per flow
+    /// would re-probe full ports every retry interval.
     injector_armed: bool,
 }
 
@@ -245,9 +244,13 @@ impl ShardFabric {
         self.shared.partition.owner(node)
     }
 
-    /// The interned route for `(src, dst)` from this shard's epoch cache;
-    /// mirrors the monolithic engine's cache policy (whole single-source
-    /// trees for the single-path algorithms).
+    /// The interned route for `(src, dst)` from this shard's epoch cache.
+    ///
+    /// A miss on the single-path algorithms (shortest hop, min cost) runs
+    /// one whole single-source tree and pre-populates the cache for **every**
+    /// destination of `src`, so one BFS/Dijkstra per source per epoch covers
+    /// all-to-all traffic. The per-pair algorithms compute and cache one
+    /// route per miss.
     fn cached_route(
         &mut self,
         src: NodeId,
@@ -262,50 +265,46 @@ impl ShardFabric {
         if let Some(cached) = self.route_cache.lookup(src, dst, selector) {
             return cached;
         }
-        let shared = &self.shared;
-        match self.config.routing {
+        let SharedState {
+            topo,
+            arena,
+            spec,
+            racks,
+            ..
+        } = &*self.shared;
+        let cost_map = &self.cost_map;
+        let per_pair = match self.config.routing {
             RoutingAlgorithm::ShortestHop | RoutingAlgorithm::MinCost => {
                 let tree = match self.config.routing {
-                    RoutingAlgorithm::ShortestHop => {
-                        rackfabric_topo::routing::shortest_path_tree(&shared.topo, src)
-                    }
-                    _ => rackfabric_topo::routing::dijkstra_tree(
-                        &shared.topo,
-                        src,
-                        &self.cost_map,
-                        1.0,
-                    ),
+                    RoutingAlgorithm::ShortestHop => routing::shortest_path_tree(topo, src),
+                    _ => routing::dijkstra_tree(topo, src, cost_map, 1.0),
                 };
                 let mut answer = None;
-                for node in shared.topo.nodes() {
-                    let interned = rackfabric_topo::routing::route_from_tree(src, node, &tree)
-                        .and_then(|r| InternedRoute::intern(r, &shared.arena))
+                for node in topo.nodes() {
+                    let interned = routing::route_from_tree(src, node, &tree)
+                        .and_then(|r| InternedRoute::intern(r, arena))
                         .map(Arc::new);
                     if node == dst {
                         answer = interned.clone();
                     }
                     self.route_cache.insert(src, node, selector, interned);
                 }
-                answer
+                return answer;
             }
-            _ => {
-                let computed = crate::fabric::AdaptiveFabric::route_for(
-                    &self.config,
-                    &shared.topo,
-                    &shared.spec,
-                    &shared.racks,
-                    &self.cost_map,
-                    src,
-                    dst,
-                    flow_seq,
-                )
-                .and_then(|r| InternedRoute::intern(r, &shared.arena))
-                .map(Arc::new);
-                self.route_cache
-                    .insert(src, dst, selector, computed.clone());
-                computed
+            RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
+            RoutingAlgorithm::Valiant => routing::valiant_route(topo, racks, src, dst, flow_seq),
+            RoutingAlgorithm::Adaptive => {
+                routing::adaptive_route(topo, racks, src, dst, flow_seq, cost_map, 1.0)
             }
-        }
+            RoutingAlgorithm::DimensionOrdered => routing::dimension_ordered(spec, topo, src, dst)
+                .or_else(|| routing::shortest_path(topo, src, dst)),
+        };
+        let computed = per_pair
+            .and_then(|r| InternedRoute::intern(r, arena))
+            .map(Arc::new);
+        self.route_cache
+            .insert(src, dst, selector, computed.clone());
+        computed
     }
 
     /// Arms the flow's single injector chain at `at` (no-op when armed).
@@ -335,21 +334,22 @@ impl ShardFabric {
         ctx.send(to, at, key, ShardEvent::Train(train));
     }
 
-    /// Records a flow completion at the source shard.
-    fn check_completion(&mut self, now: SimTime, flow_idx: usize) {
+    /// Records a flow completion at the source shard once every byte is
+    /// acknowledged. `delivered_at` is the instant the completing bytes
+    /// reached the destination, not the instant their ack arrived.
+    fn check_completion(&mut self, delivered_at: SimTime, flow_idx: usize) {
         let flow = self.flows[flow_idx];
         let p = &mut self.progress[flow_idx];
         if !p.completed && p.delivered >= flow.size.as_u64() {
             p.completed = true;
             self.completed_flows += 1;
-            let fct = now.saturating_since(flow.start_at);
+            let fct = delivered_at.saturating_since(flow.start_at);
             self.metrics.flow_completions.push((flow.id, fct));
-            self.last_completion = self.last_completion.max(now);
+            self.last_completion = self.last_completion.max(delivered_at);
         }
     }
 
-    /// Injects the next train of a flow at its source (mirrors the
-    /// monolithic `inject_next`).
+    /// Injects the next train of a flow at its source.
     fn inject(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, flow_idx: usize) {
         self.progress[flow_idx].injector_armed = false;
         let flow = self.flows[flow_idx];
@@ -469,8 +469,8 @@ impl ShardFabric {
         );
     }
 
-    /// Handles a train finishing arrival at its next node (mirrors the
-    /// monolithic `train_arrive`, with acks instead of cross-node state).
+    /// Handles a train finishing arrival at its next node: final delivery
+    /// (plus an ack to the source shard) or one batched forward.
     fn train_arrive(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, mut train: ShardTrain) {
         let now = ctx.now();
         let at_node = train.route.route.nodes[train.hop];
@@ -504,6 +504,7 @@ impl ShardFabric {
                 ShardEvent::Delivered {
                     flow: flow_idx as u32,
                     bytes,
+                    at: now,
                 },
             );
             return;
@@ -514,9 +515,11 @@ impl ShardFabric {
         let out_live = self.link_live(out_link);
         let fence = self.fences[out_link.index()];
         if out_live && now < fence {
-            // The egress link is retraining: hold the train here and wake at
-            // the fence (the wait is charged as queueing, like the
-            // monolithic engine).
+            // The egress link is retraining: hold the train at this node and
+            // wake when the fence lifts. Pausing (not dropping) is how the
+            // paper models PLP retraining windows. Every packet's analytic
+            // arrival moves to the fence; the wait is real latency and is
+            // charged as queueing so breakdowns keep summing to end-to-end.
             for packet in &mut train.packets {
                 packet.breakdown.queueing += fence.saturating_since(packet.arrived_at);
                 packet.arrived_at = fence;
@@ -638,10 +641,10 @@ impl ShardModel for ShardFabric {
         match event {
             ShardEvent::Inject(flow) => self.inject(ctx, flow as usize),
             ShardEvent::Train(train) => self.train_arrive(ctx, train),
-            ShardEvent::Delivered { flow, bytes } => {
+            ShardEvent::Delivered { flow, bytes, at } => {
                 let flow = flow as usize;
                 self.progress[flow].delivered += bytes;
-                self.check_completion(ctx.now(), flow);
+                self.check_completion(at, flow);
             }
             ShardEvent::Dropped { flow, bytes } => {
                 let flow = flow as usize;
@@ -663,22 +666,6 @@ impl ShardModel for ShardFabric {
     fn stop_contribution(&self) -> u64 {
         self.completed_flows as u64
     }
-}
-
-/// Reads the dense link constants out of the physical state.
-fn compute_link_hot(phy: &PhyState, arena: &LinkArena) -> Vec<LinkHot> {
-    arena
-        .iter()
-        .map(|(_, id)| match phy.link(id) {
-            Some(l) => LinkHot {
-                capacity: l.capacity(),
-                propagation: l.propagation_delay(),
-                fec: l.fec_latency(),
-                up: matches!(l.state, rackfabric_phy::LinkState::Up),
-            },
-            None => LinkHot::DOWN,
-        })
-        .collect()
 }
 
 /// The global control side of the sharded engine: owns the physical state
@@ -741,8 +728,7 @@ impl Coordinator {
         }
     }
 
-    /// One Closed Ring Control epoch over merged shard telemetry (mirrors
-    /// the monolithic `crc_epoch`).
+    /// One Closed Ring Control epoch over merged shard telemetry.
     fn crc_epoch(&mut self, now: SimTime, shards: &mut ShardsView<'_, ShardFabric>) {
         let epoch = now.saturating_since(self.epoch_start);
         let epoch_s = epoch.as_secs_f64().max(1e-12);
@@ -853,7 +839,7 @@ impl Coordinator {
                 }
             }
             if phy_changed {
-                self.link_hot = compute_link_hot(&self.phy, &self.shared.arena);
+                self.link_hot = LinkHot::read_all(&self.phy, &self.shared.arena);
                 self.broadcast_hot(shards);
                 self.refresh_lookahead();
             }
@@ -920,7 +906,7 @@ impl Coordinator {
             racks,
         });
         self.shared = shared.clone();
-        self.link_hot = compute_link_hot(&self.phy, &self.shared.arena);
+        self.link_hot = LinkHot::read_all(&self.phy, &self.shared.arena);
         let until = now + duration;
         for shard in shards.models_mut() {
             shard.migrate(&old_arena, shared.clone());
@@ -1032,7 +1018,7 @@ impl ShardedFabric {
             inter_mask,
             racks,
         });
-        let link_hot = compute_link_hot(&phy, &shared.arena);
+        let link_hot = LinkHot::read_all(&phy, &shared.arena);
         let bypasses = phy.bypasses.clone();
         let config = Arc::new(fabric_config);
         let flows = Arc::new(flows);
@@ -1148,16 +1134,15 @@ impl ShardedFabric {
     /// Runs to the configured horizon and merges the per-shard metrics.
     pub fn run(mut self) -> ShardedRun {
         // The phy may have been reconfigured between construction and the
-        // run (initial PLP policy); re-read the constants, like the
-        // monolithic engine's `init`.
-        self.coordinator.link_hot =
-            compute_link_hot(&self.coordinator.phy, &self.coordinator.shared.arena);
-        self.coordinator.refresh_lookahead();
-        {
-            let hot = self.coordinator.link_hot.clone();
-            for s in 0..self.sim.shard_count() {
-                self.sim.model_mut(s).link_hot = hot.clone();
-            }
+        // run (the scenario layer's initial PLP policy: FEC, lane caps,
+        // power states, bypass chains); hand every shard the result.
+        let coordinator = &mut self.coordinator;
+        coordinator.link_hot = LinkHot::read_all(&coordinator.phy, &coordinator.shared.arena);
+        coordinator.refresh_lookahead();
+        for s in 0..self.sim.shard_count() {
+            let shard = self.sim.model_mut(s);
+            shard.link_hot = coordinator.link_hot.clone();
+            shard.bypasses = coordinator.phy.bypasses.clone();
         }
 
         let out = self.sim.run(self.horizon, &mut self.coordinator);
@@ -1244,4 +1229,79 @@ impl ShardedFabric {
 /// Runs a fabric configuration through the sharded engine.
 pub fn run_sharded(config: ShardedConfig, flows: Vec<Flow>) -> ShardedRun {
     ShardedFabric::new(config, flows).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rackfabric_phy::PlpCommand;
+    use rackfabric_sim::config::SimConfig;
+    use rackfabric_workload::WorkloadFlowId;
+
+    /// One MTU-sized flow from the first to the last node of a 4-lane line.
+    fn line_run(nodes: usize) -> (FabricConfig, Vec<Flow>) {
+        let mut config = FabricConfig::baseline(TopologySpec::line(nodes, 4));
+        config.sim = SimConfig::with_seed(3).horizon(SimTime::from_millis(10));
+        let flows = vec![Flow {
+            id: WorkloadFlowId(0),
+            src: NodeId(0),
+            dst: NodeId(nodes as u32 - 1),
+            size: Bytes::new(1500),
+            start_at: SimTime::ZERO,
+        }];
+        (config, flows)
+    }
+
+    /// Bypass chains installed through `phy_mut` before the run carry
+    /// traffic from the first packet on, under the static controller too:
+    /// each extra bypassed node takes one switch traversal off the path.
+    #[test]
+    fn bypasses_installed_before_the_run_take_effect_at_once() {
+        let latency = |bypassed: u32| {
+            let (config, flows) = line_run(5);
+            let mut fabric = ShardedFabric::new(ShardedConfig::new(config, 1), flows);
+            let executor = PlpExecutor::default();
+            let phy = fabric.phy_mut();
+            for node in 1..=bypassed {
+                let in_link = phy.find_link_between(node - 1, node).unwrap().id;
+                let out_link = phy.find_link_between(node, node + 1).unwrap().id;
+                let enable = PlpCommand::EnableBypass {
+                    at_node: node,
+                    in_link,
+                    out_link,
+                };
+                executor.execute(phy, &enable).unwrap();
+            }
+            let run = fabric.run();
+            assert!(run.all_flows_complete);
+            assert_eq!(run.metrics.breakdown.bypassed_hops, bypassed);
+            run.metrics.packet_latency.max_sample().unwrap()
+        };
+        let latencies: Vec<u64> = (0..4).map(latency).collect();
+        for pair in latencies.windows(2) {
+            assert!(
+                pair[1] < pair[0],
+                "each bypassed node must lower latency: {latencies:?} ps"
+            );
+        }
+    }
+
+    /// Completion is recorded when the last byte reaches the destination,
+    /// not when its ack returns to the source: a one-packet flow started at
+    /// zero completes at its packet's delivery instant, at any shard count.
+    #[test]
+    fn job_completion_is_the_last_delivery_instant() {
+        for shards in [1, 4] {
+            let (config, flows) = line_run(4);
+            let run = run_sharded(ShardedConfig::new(config, shards), flows);
+            assert!(run.all_flows_complete);
+            let latency = run.metrics.packet_latency.max_sample().unwrap();
+            let delivered_at = SimTime::from_picos(latency);
+            assert_eq!(run.metrics.job_completion, Some(delivered_at));
+            assert_eq!(
+                run.metrics.flow_completions[0].1,
+                delivered_at.saturating_since(SimTime::ZERO)
+            );
+        }
+    }
 }

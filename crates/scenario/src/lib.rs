@@ -1,7 +1,7 @@
 //! # rackfabric-scenario
 //!
 //! A declarative, parallel **scenario-matrix engine** for the rack-scale
-//! fabric: the layer that turns one-off hand-wired `Simulator` runs into
+//! fabric: the layer that turns one-off hand-wired fabric runs into
 //! reproducible parameter sweeps with tail-latency statistics.
 //!
 //! The paper's claim — that an adaptive fabric beats static configurations —

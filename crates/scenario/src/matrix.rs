@@ -67,9 +67,9 @@ pub enum AxisValue {
     Multi(Vec<AxisValue>),
     /// Set the simulation horizon.
     Horizon(SimTime),
-    /// Select the engine: `0` = monolithic, `n >= 1` = sharded multi-rack
-    /// engine with `n` rack groups. Sweeps use this axis to cross-check
-    /// 1-shard against N-shard runs (byte-identical exports).
+    /// Partition the fabric into `n` rack groups (`0` runs as 1). Sweeps use
+    /// this axis to cross-check 1-shard against N-shard runs (byte-identical
+    /// exports).
     Shards(usize),
     /// Stretch every **inter-rack** cable of the topology (and its
     /// escalation target) to at least this length. Longer inter-rack cables
@@ -170,7 +170,6 @@ impl AxisValue {
                 .collect::<Vec<_>>()
                 .join("+"),
             AxisValue::Horizon(h) => format!("{}us", h.as_micros_f64()),
-            AxisValue::Shards(0) => "monolithic".into(),
             AxisValue::Shards(n) => format!("{n}"),
             AxisValue::RackSpacing(l) => {
                 let mm = l.as_mm();

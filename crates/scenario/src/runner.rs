@@ -1,6 +1,6 @@
 //! Parallel execution of an expanded scenario matrix.
 //!
-//! Jobs are independent single-threaded `Simulator` runs, so the runner is
+//! Jobs are independent single-threaded fabric runs, so the runner is
 //! an embarrassingly parallel pool: worker threads steal the next unclaimed
 //! job from a shared atomic cursor and stream `(index, outcome)` pairs back
 //! over an mpsc channel. Results are re-ordered by job index before
@@ -10,14 +10,11 @@
 use crate::aggregate::{aggregate_cells, CellSummary};
 use crate::matrix::{Job, Matrix};
 use crate::spec::{FecSetting, ScenarioSpec};
-use rackfabric::fabric::AdaptiveFabric;
 use rackfabric::metrics::RunSummary;
+use rackfabric::shard::{ShardedConfig, ShardedFabric};
 use rackfabric_obs::{Observer, TimeDomain};
-use rackfabric_phy::{PlpCommand, PlpExecutor};
-use rackfabric_sim::engine::SchedulerKind;
-use rackfabric_sim::queue::Scheduler;
+use rackfabric_phy::{PhyState, PlpCommand, PlpExecutor};
 use rackfabric_sim::stats::Histogram;
-use rackfabric_sim::{CalendarQueue, EventQueue, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -45,8 +42,8 @@ pub struct JobResult {
     pub queueing_latency: Histogram,
     /// Whether every flow delivered all of its bytes within the horizon.
     pub all_flows_complete: bool,
-    /// Engine events processed (deterministic: identical across schedulers
-    /// and thread counts).
+    /// Engine events processed (deterministic: identical across shard and
+    /// thread counts).
     pub events_processed: u64,
     /// Wall-clock nanoseconds the engine spent on this job. **Not**
     /// deterministic — used for perf reporting only, never exported in the
@@ -93,32 +90,19 @@ impl MatrixResult {
     }
 }
 
-/// Executes a single fully resolved scenario (what each worker thread runs):
-/// the monolithic engine on the spec's configured scheduler, or the sharded
-/// multi-rack engine when `spec.shards >= 1`.
+/// Executes a single fully resolved scenario (what each worker thread
+/// runs). Results are byte-identical for every shard count (the 1-shard run
+/// is the reference the CI gate diffs N-shard runs against).
 pub fn run_scenario(spec: &ScenarioSpec) -> JobResult {
-    if spec.shards >= 1 {
-        return run_scenario_sharded(spec);
-    }
-    match spec.scheduler {
-        SchedulerKind::Calendar => run_scenario_on(spec, CalendarQueue::new()),
-        SchedulerKind::Heap => run_scenario_on(spec, EventQueue::new()),
-    }
-}
-
-/// Executes a scenario on the sharded engine. Results are byte-identical
-/// for every shard count (the 1-shard run is the reference the CI gate
-/// diffs N-shard runs against).
-fn run_scenario_sharded(spec: &ScenarioSpec) -> JobResult {
     let flows = spec.build_flows();
-    let mut config = rackfabric::shard::ShardedConfig::new(spec.to_fabric_config(), spec.shards);
+    let mut config = ShardedConfig::new(spec.to_fabric_config(), spec.shards.max(1));
     // Parallelism already comes from the job-level Runner pool; letting every
     // job also spawn one spinning window-worker per shard would nest two
     // thread pools and oversubscribe the machine. Worker count never affects
     // results, so the scenario path always drains windows on the job thread.
     config.workers = 1;
-    let mut fabric = rackfabric::shard::ShardedFabric::new(config, flows);
-    apply_phy_policy_to(spec, fabric.phy_mut());
+    let mut fabric = ShardedFabric::new(config, flows);
+    apply_phy_policy(spec, fabric.phy_mut());
     let start = std::time::Instant::now();
     let run = fabric.run();
     let wall_nanos = start.elapsed().as_nanos() as u64;
@@ -132,41 +116,9 @@ fn run_scenario_sharded(spec: &ScenarioSpec) -> JobResult {
     }
 }
 
-/// Executes a scenario on an explicit scheduler implementation.
-fn run_scenario_on<S: Scheduler<rackfabric::fabric::FabricEvent>>(
-    spec: &ScenarioSpec,
-    scheduler: S,
-) -> JobResult {
-    let flows = spec.build_flows();
-    let config = spec.to_fabric_config();
-    let mut fabric = AdaptiveFabric::new(config, flows);
-    apply_phy_policy(spec, &mut fabric);
-    let mut sim = Simulator::with_scheduler(fabric, spec.seed, scheduler)
-        .with_event_budget(spec.event_budget);
-    let start = std::time::Instant::now();
-    sim.run_until(spec.horizon);
-    let wall_nanos = start.elapsed().as_nanos() as u64;
-    let events_processed = sim.events_processed();
-    let fabric = sim.into_model();
-    JobResult {
-        summary: fabric.metrics.summary(),
-        packet_latency: fabric.metrics.packet_latency.clone(),
-        queueing_latency: fabric.metrics.queueing_latency.clone(),
-        all_flows_complete: fabric.all_flows_complete(),
-        events_processed,
-        wall_nanos,
-    }
-}
-
-/// Applies the spec's initial PLP state (FEC, lane caps, power) to the
-/// freshly instantiated fabric, before the first event fires.
-fn apply_phy_policy(spec: &ScenarioSpec, fabric: &mut AdaptiveFabric) {
-    apply_phy_policy_to(spec, &mut fabric.phy);
-}
-
-/// Applies the spec's initial PLP state to a bare physical state (shared by
-/// the monolithic and sharded engine paths).
-fn apply_phy_policy_to(spec: &ScenarioSpec, phy: &mut rackfabric_phy::PhyState) {
+/// Applies the spec's initial PLP state (FEC, lane caps, power, bypass
+/// chains) to the freshly instantiated fabric, before the first event fires.
+fn apply_phy_policy(spec: &ScenarioSpec, phy: &mut PhyState) {
     let executor = PlpExecutor::default();
     let link_ids = phy.link_ids();
     for link in link_ids {

@@ -1,6 +1,6 @@
 //! Declarative descriptions of a single simulation cell.
 //!
-//! A [`ScenarioSpec`] captures everything one `Simulator` run needs —
+//! A [`ScenarioSpec`] captures everything one fabric run needs —
 //! topology, workload, physical-layer policy, controller policy, seed and
 //! horizon — as plain data, so a [`crate::Matrix`] can clone and mutate it
 //! along sweep axes and a [`crate::Runner`] can execute hundreds of cells in
@@ -10,7 +10,6 @@ use rackfabric::fabric::FabricConfig;
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, PlpTiming, PowerState};
 use rackfabric_sim::config::SimConfig;
-use rackfabric_sim::engine::SchedulerKind;
 use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
@@ -403,16 +402,10 @@ pub struct ScenarioSpec {
     pub event_budget: u64,
     /// Stop as soon as every flow completes.
     pub stop_when_done: bool,
-    /// Which pending-event-set implementation drives the run. Results are
-    /// scheduler-independent; sweeps use this to cross-check the calendar
-    /// engine against the reference heap.
-    pub scheduler: SchedulerKind,
-    /// Which engine runs the cell: `0` is the monolithic single-core engine
-    /// (`run_fabric`); `n >= 1` is the sharded multi-rack engine partitioned
-    /// into `n` rack groups. Sharded results are byte-identical for every
-    /// `n >= 1` — sweeps put a shards axis on a matrix to cross-check the
-    /// 1-shard reference against N-shard parallel runs — but are a
-    /// different model from the monolithic engine (flow acks have latency).
+    /// How many rack groups the engine partitions the fabric into (`0` runs
+    /// as 1). Results are byte-identical for every count — sweeps put a
+    /// shards axis on a matrix to cross-check the 1-shard reference against
+    /// N-shard runs.
     pub shards: usize,
 }
 
@@ -442,19 +435,12 @@ impl ScenarioSpec {
             horizon: SimTime::from_millis(50),
             event_budget: u64::MAX,
             stop_when_done: true,
-            scheduler: SchedulerKind::default(),
-            shards: 0,
+            shards: 1,
         }
     }
 
-    /// Sets the engine scheduler, returning the modified spec.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects the sharded engine with `n` rack groups (`0` reverts to the
-    /// monolithic engine), returning the modified spec.
+    /// Partitions the fabric into `n` rack groups, returning the modified
+    /// spec.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self

@@ -1,491 +1,225 @@
-//! The simulation main loop.
+//! Contract tests of the simulation engine.
 //!
-//! [`Simulator`] owns the clock, the pending-event set and the model, and
-//! advances the model by repeatedly popping the earliest event and calling
-//! [`Model::handle`]. Directives issued through
-//! the [`Context`] are applied after each callback.
-//!
-//! The pending-event set is pluggable through the
-//! [`Scheduler`] trait: [`Simulator::new`] uses the
-//! [`CalendarQueue`] (the fast default),
-//! while [`Simulator::with_scheduler`] accepts any implementation — the
-//! binary-heap [`EventQueue`] is kept as a
-//! reference for cross-checking, see [`HeapSimulator`]. Every scheduler
-//! delivers events in the same `(time, EventId)` order, so the choice never
-//! changes simulation results, only wall-clock speed.
+//! The guarantees every discrete-event engine owes its models — events
+//! delivered in time order, a horizon that bounds a run and lets a later run
+//! resume, stop and event-budget exits, seed determinism, and a trace that
+//! does not depend on the pending-event set — checked on
+//! [`WindowedSim`](crate::windowed::WindowedSim) driven as a single shard,
+//! the way a classic one-queue simulator runs.
 
-use crate::calendar::CalendarQueue;
-use crate::event::{Context, Directive, EventId, Model};
-use crate::queue::{EventQueue, Scheduler};
-use crate::rng::DetRng;
-use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// Which pending-event-set implementation an engine run uses. All kinds
-/// deliver identical event orders; the choice only affects wall-clock speed.
-/// Declarative configs (scenario specs) carry this so sweeps can cross-check
-/// the schedulers against each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Hash)]
-pub enum SchedulerKind {
-    /// The reference binary-heap [`EventQueue`].
-    Heap,
-    /// The two-level [`CalendarQueue`] (default).
-    #[default]
-    Calendar,
-}
-
-impl SchedulerKind {
-    /// Short name for labels and exports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-}
-
-/// Why a call to [`Simulator::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The pending-event set became empty before the horizon.
-    Drained,
-    /// The horizon was reached; later events are still pending.
-    HorizonReached,
-    /// The model requested a stop via [`Context::stop`](crate::event::Context::stop).
-    Stopped,
-    /// The configured event budget was exhausted (guards against livelock).
-    EventBudgetExhausted,
-}
-
-/// A deterministic discrete-event simulator driving a single [`Model`].
-///
-/// The second type parameter selects the pending-event set; it defaults to
-/// the calendar-queue scheduler. All schedulers deliver identical event
-/// orders, so results never depend on this choice.
-pub struct Simulator<M: Model, S: Scheduler<M::Event> = CalendarQueue<<M as Model>::Event>> {
-    model: M,
-    queue: S,
-    now: SimTime,
-    next_id: u64,
-    rng: DetRng,
-    stop_requested: bool,
-    events_processed: u64,
-    event_budget: u64,
-    initialized: bool,
-}
-
-/// A simulator running on the reference binary-heap scheduler, used to
-/// cross-check the calendar queue.
-pub type HeapSimulator<M> = Simulator<M, EventQueue<<M as Model>::Event>>;
-
-impl<M: Model> Simulator<M, CalendarQueue<M::Event>> {
-    /// Creates a simulator over `model`, seeding all randomness from `seed`,
-    /// on the default calendar-queue scheduler.
-    pub fn new(model: M, seed: u64) -> Self {
-        Simulator::with_scheduler(model, seed, CalendarQueue::new())
-    }
-}
-
-impl<M: Model> HeapSimulator<M> {
-    /// Creates a simulator on the reference binary-heap scheduler.
-    pub fn new_heap(model: M, seed: u64) -> Self {
-        Simulator::with_scheduler(model, seed, EventQueue::new())
-    }
-}
-
-impl<M: Model, S: Scheduler<M::Event>> Simulator<M, S> {
-    /// Creates a simulator over `model` driving events through an explicit
-    /// scheduler implementation.
-    pub fn with_scheduler(model: M, seed: u64, scheduler: S) -> Self {
-        Simulator {
-            model,
-            queue: scheduler,
-            now: SimTime::ZERO,
-            next_id: 0,
-            rng: DetRng::new(seed),
-            stop_requested: false,
-            events_processed: 0,
-            event_budget: u64::MAX,
-            initialized: false,
-        }
-    }
-
-    /// Caps the total number of events that will ever be processed. Useful as
-    /// a guard against accidental event storms in tests; the default is
-    /// unlimited.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Immutable access to the model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the model (e.g. to extract statistics between runs).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// Consumes the simulator, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
-    /// Schedules an event from outside the model (before or between runs).
-    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventId {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.queue.push(at, id, event);
-        id
-    }
-
-    /// Runs until the event queue drains, the model stops, or the event
-    /// budget is exhausted.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Runs until `horizon` (inclusive of events scheduled exactly at it),
-    /// the queue drains, the model stops, or the event budget is exhausted.
-    ///
-    /// The clock is left at the timestamp of the last processed event, or at
-    /// `horizon` if the horizon was reached with events still pending (so a
-    /// subsequent call resumes cleanly).
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        let mut directives: Vec<(EventId, Directive<M::Event>)> = Vec::new();
-
-        if !self.initialized {
-            self.initialized = true;
-            let mut ctx = Context {
-                now: self.now,
-                next_id: &mut self.next_id,
-                directives: &mut directives,
-                rng: &mut self.rng,
-            };
-            self.model.init(&mut ctx);
-            Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
-        }
-
-        let outcome = loop {
-            if self.stop_requested {
-                break RunOutcome::Stopped;
-            }
-            if self.events_processed >= self.event_budget {
-                break RunOutcome::EventBudgetExhausted;
-            }
-            let next_time = match self.queue.peek_time() {
-                None => break RunOutcome::Drained,
-                Some(t) => t,
-            };
-            if next_time > horizon {
-                self.now = horizon;
-                break RunOutcome::HorizonReached;
-            }
-            let (at, _id, event) = self.queue.pop().expect("peeked event must pop");
-            debug_assert!(at >= self.now, "event queue returned an event in the past");
-            self.now = at;
-            self.events_processed += 1;
-
-            let mut ctx = Context {
-                now: self.now,
-                next_id: &mut self.next_id,
-                directives: &mut directives,
-                rng: &mut self.rng,
-            };
-            self.model.handle(&mut ctx, event);
-            Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
-        };
-
-        // Give the model a chance to flush statistics.
-        let mut ctx = Context {
-            now: self.now,
-            next_id: &mut self.next_id,
-            directives: &mut directives,
-            rng: &mut self.rng,
-        };
-        self.model.finish(&mut ctx);
-        Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
-
-        outcome
-    }
-
-    fn apply_directives(
-        queue: &mut S,
-        stop: &mut bool,
-        directives: &mut Vec<(EventId, Directive<M::Event>)>,
-    ) {
-        for (id, directive) in directives.drain(..) {
-            match directive {
-                Directive::Schedule { at, event } => queue.push(at, id, event),
-                Directive::Cancel(target) => {
-                    queue.cancel(target);
-                }
-                Directive::Stop => *stop = true,
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::time::SimDuration;
+    use crate::event::EventId;
+    use crate::queue::EventQueue;
+    use crate::rng::DetRng;
+    use crate::time::{SimDuration, SimTime};
+    use crate::windowed::{RunOutcome, ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim};
+
+    /// A sync hook with no control points and an optional stop threshold.
+    struct Hook {
+        stop_at: u64,
+    }
+
+    impl<M: ShardModel> SyncHook<M> for Hook {
+        fn next_sync(&self) -> SimTime {
+            SimTime::MAX
+        }
+        fn on_sync(&mut self, _: SimTime, _: &mut ShardsView<'_, M>) {}
+        fn stop_threshold(&self) -> u64 {
+            self.stop_at
+        }
+        fn lookahead(&self) -> SimDuration {
+            SimDuration::from_nanos(1)
+        }
+    }
+
+    fn no_stop() -> Hook {
+        Hook { stop_at: u64::MAX }
+    }
+
+    /// A single-shard simulation of `model` on one worker.
+    fn single<M: ShardModel>(model: M) -> WindowedSim<M> {
+        WindowedSim::new(vec![model]).with_workers(1)
+    }
 
     /// Records the order in which events were delivered.
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
-        stop_after: Option<usize>,
-        finished: bool,
     }
 
-    impl Model for Recorder {
+    impl ShardModel for Recorder {
         type Event = u32;
-        fn handle(&mut self, ctx: &mut Context<u32>, event: u32) {
+        fn handle(&mut self, ctx: &mut WindowCtx<'_, u32>, event: u32) {
             self.seen.push((ctx.now(), event));
-            if let Some(n) = self.stop_after {
-                if self.seen.len() >= n {
-                    ctx.stop();
-                }
-            }
         }
-        fn finish(&mut self, _ctx: &mut Context<u32>) {
-            self.finished = true;
+        fn stop_contribution(&self) -> u64 {
+            self.seen.len() as u64
         }
     }
 
-    fn recorder() -> Recorder {
-        Recorder {
-            seen: Vec::new(),
-            stop_after: None,
-            finished: false,
-        }
+    fn recorder() -> WindowedSim<Recorder> {
+        single(Recorder { seen: Vec::new() })
     }
 
     #[test]
     fn delivers_events_in_time_order() {
-        let mut sim = Simulator::new(recorder(), 0);
-        sim.schedule_at(SimTime::from_nanos(30), 3);
-        sim.schedule_at(SimTime::from_nanos(10), 1);
-        sim.schedule_at(SimTime::from_nanos(20), 2);
-        let outcome = sim.run();
-        assert_eq!(outcome, RunOutcome::Drained);
+        let mut sim = recorder();
+        sim.schedule(0, SimTime::from_nanos(30), 0, 3);
+        sim.schedule(0, SimTime::from_nanos(10), 1, 1);
+        sim.schedule(0, SimTime::from_nanos(20), 2, 2);
+        let out = sim.run(SimTime::MAX, &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::Drained);
+        assert_eq!(out.events, 3);
         assert_eq!(
-            sim.model().seen,
+            sim.model_mut(0).seen,
             vec![
                 (SimTime::from_nanos(10), 1),
                 (SimTime::from_nanos(20), 2),
                 (SimTime::from_nanos(30), 3)
             ]
         );
-        assert!(sim.model().finished);
-        assert_eq!(sim.events_processed(), 3);
     }
 
     #[test]
     fn horizon_stops_and_resumes() {
-        let mut sim = Simulator::new(recorder(), 0);
-        sim.schedule_at(SimTime::from_nanos(10), 1);
-        sim.schedule_at(SimTime::from_nanos(50), 2);
-        let outcome = sim.run_until(SimTime::from_nanos(20));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(sim.model().seen.len(), 1);
+        let mut sim = recorder();
+        sim.schedule(0, SimTime::from_nanos(10), 0, 1);
+        sim.schedule(0, SimTime::from_nanos(50), 1, 2);
+        let out = sim.run(SimTime::from_nanos(20), &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::HorizonReached);
+        assert_eq!(sim.model_mut(0).seen.len(), 1);
         assert_eq!(sim.now(), SimTime::from_nanos(20));
         // Resume and drain.
-        let outcome = sim.run();
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(sim.model().seen.len(), 2);
-        assert_eq!(sim.now(), SimTime::from_nanos(50));
+        let out = sim.run(SimTime::MAX, &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::Drained);
+        assert_eq!(
+            sim.model_mut(0).seen,
+            vec![(SimTime::from_nanos(10), 1), (SimTime::from_nanos(50), 2)]
+        );
+        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
     fn stop_request_is_honoured() {
-        let mut sim = Simulator::new(
-            Recorder {
-                seen: Vec::new(),
-                stop_after: Some(2),
-                finished: false,
-            },
-            0,
-        );
+        let mut sim = recorder();
         for i in 0..10 {
-            sim.schedule_at(SimTime::from_nanos(i), i as u32);
+            sim.schedule(0, SimTime::from_nanos(i), i, i as u32);
         }
-        let outcome = sim.run();
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(sim.model().seen.len(), 2);
-        assert_eq!(sim.pending_events(), 8);
+        let out = sim.run(SimTime::MAX, &mut Hook { stop_at: 2 });
+        assert_eq!(out.outcome, RunOutcome::Stopped);
+        assert_eq!(sim.model_mut(0).seen.len(), 2);
+        // The other 8 events are still pending: a resumed run delivers them.
+        let out = sim.run(SimTime::MAX, &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::Drained);
+        let seen: Vec<u32> = sim.model_mut(0).seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(seen, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
     fn event_budget_prevents_livelock() {
         /// A model that perpetually schedules itself at the same instant.
         struct Livelock;
-        impl Model for Livelock {
+        impl ShardModel for Livelock {
             type Event = ();
-            fn init(&mut self, ctx: &mut Context<()>) {
-                ctx.schedule_now(());
-            }
-            fn handle(&mut self, ctx: &mut Context<()>, _: ()) {
-                ctx.schedule_now(());
+            fn handle(&mut self, ctx: &mut WindowCtx<'_, ()>, _: ()) {
+                let now = ctx.now();
+                ctx.schedule(now, 0, ());
             }
         }
-        let mut sim = Simulator::new(Livelock, 0).with_event_budget(1000);
-        let outcome = sim.run();
-        assert_eq!(outcome, RunOutcomeBudget());
+        let mut sim = single(Livelock).with_event_budget(1000);
+        sim.schedule(0, SimTime::ZERO, 0, ());
+        let out = sim.run(SimTime::MAX, &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::EventBudgetExhausted);
         assert_eq!(sim.events_processed(), 1000);
     }
 
-    // Small helper so the assert above reads naturally.
-    #[allow(non_snake_case)]
-    fn RunOutcomeBudget() -> RunOutcome {
-        RunOutcome::EventBudgetExhausted
+    /// Schedules events at random offsets drawn from the model's own RNG and
+    /// records the delivery trace. Keys come from a sequence counter, so
+    /// same-instant events are delivered in scheduling order.
+    struct RandomWalk {
+        rng: DetRng,
+        remaining: u32,
+        max_offset_ps: u64,
+        next_key: u64,
+        trace: Vec<(u64, u64)>,
     }
 
-    #[test]
-    fn init_runs_exactly_once() {
-        struct CountInit {
-            inits: u32,
-        }
-        impl Model for CountInit {
-            type Event = ();
-            fn init(&mut self, ctx: &mut Context<()>) {
-                self.inits += 1;
-                ctx.schedule_in(SimDuration::from_nanos(1), ());
+    impl RandomWalk {
+        fn new(seed: u64, remaining: u32, max_offset_ps: u64) -> Self {
+            RandomWalk {
+                rng: DetRng::new(seed),
+                remaining,
+                max_offset_ps,
+                next_key: 0,
+                trace: Vec::new(),
             }
-            fn handle(&mut self, _ctx: &mut Context<()>, _: ()) {}
         }
-        let mut sim = Simulator::new(CountInit { inits: 0 }, 0);
-        sim.run_until(SimTime::from_nanos(10));
-        sim.run_until(SimTime::from_nanos(20));
-        sim.run();
-        assert_eq!(sim.model().inits, 1);
+
+        /// Schedules one event `d` ps after `now`, carrying `d`.
+        fn next(&mut self, now: SimTime) -> (SimTime, u64, u64) {
+            let d = self.rng.range_u64(1..self.max_offset_ps);
+            let key = self.next_key;
+            self.next_key += 1;
+            (now + SimDuration::from_picos(d), key, d)
+        }
+
+        /// Records one delivery and returns what it schedules.
+        fn step(&mut self, now: SimTime, ev: u64) -> Option<(SimTime, u64, u64)> {
+            self.trace.push((now.as_picos(), ev));
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            Some(self.next(now))
+        }
+    }
+
+    impl ShardModel for RandomWalk {
+        type Event = u64;
+        fn handle(&mut self, ctx: &mut WindowCtx<'_, u64>, ev: u64) {
+            if let Some((at, key, d)) = self.step(ctx.now(), ev) {
+                ctx.schedule(at, key, d);
+            }
+        }
+    }
+
+    /// Runs `walkers` concurrent random walks on the windowed engine.
+    fn walk_windowed(seed: u64, walkers: u32, steps: u32, max_offset_ps: u64) -> Vec<(u64, u64)> {
+        let mut sim = single(RandomWalk::new(seed, steps, max_offset_ps));
+        for _ in 0..walkers {
+            let (at, key, d) = sim.model_mut(0).next(SimTime::ZERO);
+            sim.schedule(0, at, key, d);
+        }
+        let out = sim.run(SimTime::MAX, &mut no_stop());
+        assert_eq!(out.outcome, RunOutcome::Drained);
+        assert_eq!(out.events, u64::from(walkers + steps));
+        sim.into_models().remove(0).trace
     }
 
     #[test]
     fn same_seed_same_trace() {
-        /// Schedules events at random offsets and records the delivery order.
-        struct RandomWalk {
-            remaining: u32,
-            trace: Vec<u64>,
-        }
-        impl Model for RandomWalk {
-            type Event = u64;
-            fn init(&mut self, ctx: &mut Context<u64>) {
-                let d = ctx.rng().range_u64(1..1000);
-                ctx.schedule_in(SimDuration::from_nanos(d), d);
-            }
-            fn handle(&mut self, ctx: &mut Context<u64>, ev: u64) {
-                self.trace.push(ev);
-                if self.remaining > 0 {
-                    self.remaining -= 1;
-                    let d = ctx.rng().range_u64(1..1000);
-                    ctx.schedule_in(SimDuration::from_nanos(d), d);
-                }
-            }
-        }
-        let run = |seed| {
-            let mut sim = Simulator::new(
-                RandomWalk {
-                    remaining: 200,
-                    trace: Vec::new(),
-                },
-                seed,
-            );
-            sim.run();
-            sim.into_model().trace
-        };
+        let run = |seed| walk_windowed(seed, 1, 200, 1000);
         assert_eq!(run(7), run(7), "identical seeds must give identical traces");
         assert_ne!(run(7), run(8), "different seeds should diverge");
     }
 
+    /// The engine runs on the calendar queue; the same model driven over the
+    /// reference binary heap must produce the same delivery trace.
     #[test]
     fn heap_and_calendar_schedulers_produce_identical_traces() {
-        /// Schedules bursts of events at random offsets; the delivery trace
-        /// must be scheduler-independent.
-        struct Burst {
-            remaining: u32,
-            trace: Vec<(u64, u64)>,
+        let (walkers, steps, max_offset_ps) = (8, 500, 2_000_000);
+        let mut model = RandomWalk::new(11, steps, max_offset_ps);
+        let mut heap = EventQueue::new();
+        for _ in 0..walkers {
+            let (at, key, d) = model.next(SimTime::ZERO);
+            heap.push(at, EventId(key), d);
         }
-        impl Model for Burst {
-            type Event = u64;
-            fn init(&mut self, ctx: &mut Context<u64>) {
-                for k in 0..8 {
-                    ctx.schedule_in(SimDuration::from_nanos(10 * k + 1), k);
-                }
-            }
-            fn handle(&mut self, ctx: &mut Context<u64>, ev: u64) {
-                self.trace.push((ctx.now().as_picos(), ev));
-                if self.remaining > 0 {
-                    self.remaining -= 1;
-                    let d = ctx.rng().range_u64(1..2_000_000);
-                    ctx.schedule_in(SimDuration::from_picos(d), d);
-                    // Occasionally schedule-and-cancel to exercise that path.
-                    if self.remaining.is_multiple_of(17) {
-                        let id = ctx.schedule_in(SimDuration::from_nanos(5), 999);
-                        ctx.cancel(id);
-                    }
-                }
+        while let Some((now, _, ev)) = heap.pop() {
+            if let Some((at, key, d)) = model.step(now, ev) {
+                heap.push(at, EventId(key), d);
             }
         }
-        let model = || Burst {
-            remaining: 500,
-            trace: Vec::new(),
-        };
-        let mut heap_sim = Simulator::new_heap(model(), 11);
-        heap_sim.run();
-        let mut cal_sim = Simulator::new(model(), 11);
-        cal_sim.run();
-        assert_eq!(heap_sim.events_processed(), cal_sim.events_processed());
-        assert_eq!(heap_sim.model().trace, cal_sim.model().trace);
-    }
-
-    #[test]
-    fn cancellation_through_context() {
-        struct Canceller {
-            fired: Vec<&'static str>,
-        }
-        #[derive(Debug)]
-        enum Ev {
-            Arm,
-            Bomb,
-        }
-        impl Model for Canceller {
-            type Event = Ev;
-            fn init(&mut self, ctx: &mut Context<Ev>) {
-                ctx.schedule_in(SimDuration::from_nanos(10), Ev::Arm);
-            }
-            fn handle(&mut self, ctx: &mut Context<Ev>, ev: Ev) {
-                match ev {
-                    Ev::Arm => {
-                        self.fired.push("arm");
-                        let bomb = ctx.schedule_in(SimDuration::from_nanos(10), Ev::Bomb);
-                        // Defuse immediately.
-                        ctx.cancel(bomb);
-                    }
-                    Ev::Bomb => self.fired.push("bomb"),
-                }
-            }
-        }
-        let mut sim = Simulator::new(Canceller { fired: Vec::new() }, 0);
-        sim.run();
-        assert_eq!(sim.model().fired, vec!["arm"]);
+        let calendar = walk_windowed(11, walkers, steps, max_offset_ps);
+        assert_eq!(model.trace.len(), calendar.len());
+        assert_eq!(model.trace, calendar);
     }
 }

@@ -1,25 +1,16 @@
-//! The model/event abstraction driven by the [`Simulator`](crate::engine::Simulator).
+//! Event identity in the pending-event sets.
 //!
-//! A simulation is a single [`Model`] (usually a struct owning every switch,
-//! link and controller in the rack) plus a typed event payload. The engine
-//! owns the clock and the pending-event set; the model is handed a
-//! [`Context`] through which it schedules future events, draws random
-//! numbers, and requests an early stop.
-//!
-//! Keeping the model monolithic (instead of giving every component its own
-//! mailbox) is a deliberate choice: it keeps the borrow structure simple,
-//! keeps event delivery deterministic, and matches how the omnet++ model in
-//! the paper was organised (modules compiled into one simulation image).
+//! The schedulers in [`queue`](crate::queue) and
+//! [`calendar`](crate::calendar) deliver events in `(time, EventId)` order.
+//! The windowed engine ([`crate::windowed`]) sets the id of every event to a
+//! content-derived key chosen by the model, which is what makes same-instant
+//! ordering independent of shard count.
 
-use crate::rng::DetRng;
-use crate::time::{SimDuration, SimTime};
-
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event: the tie-break among events pending at
+/// the same instant, and the handle for cancellation.
 ///
-/// The engine allocates ids from a monotone sequence counter; the raw value
-/// is public so standalone scheduler harnesses (benchmarks, the
-/// cross-scheduler property tests) can drive the queues directly. Models
-/// should treat ids as opaque.
+/// The raw value is public so models and standalone scheduler harnesses
+/// (benchmarks, the cross-scheduler property tests) can choose ids directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub u64);
 
@@ -27,172 +18,5 @@ impl EventId {
     /// The raw sequence number of this event.
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-}
-
-/// A simulation model: the state machine the engine drives.
-pub trait Model {
-    /// The event payload type delivered to [`Model::handle`].
-    type Event;
-
-    /// Called once before the first event is processed. The default does
-    /// nothing; models typically seed their initial events here.
-    fn init(&mut self, ctx: &mut Context<Self::Event>) {
-        let _ = ctx;
-    }
-
-    /// Called for every event, in non-decreasing timestamp order. Events with
-    /// equal timestamps are delivered in the order they were scheduled.
-    fn handle(&mut self, ctx: &mut Context<Self::Event>, event: Self::Event);
-
-    /// Called after the run finishes (horizon reached, queue drained, or
-    /// stop requested). The default does nothing.
-    fn finish(&mut self, ctx: &mut Context<Self::Event>) {
-        let _ = ctx;
-    }
-}
-
-/// A scheduling request produced by the model during one `handle` call.
-#[derive(Debug)]
-pub(crate) enum Directive<E> {
-    /// Schedule `event` at the absolute time given.
-    Schedule { at: SimTime, event: E },
-    /// Cancel a previously scheduled event.
-    Cancel(EventId),
-    /// Stop the simulation after the current event completes.
-    Stop,
-}
-
-/// The interface a [`Model`] uses to interact with the engine.
-///
-/// A `Context` is only valid for the duration of one callback; directives are
-/// applied by the engine when the callback returns.
-pub struct Context<'a, E> {
-    pub(crate) now: SimTime,
-    pub(crate) next_id: &'a mut u64,
-    pub(crate) directives: &'a mut Vec<(EventId, Directive<E>)>,
-    pub(crate) rng: &'a mut DetRng,
-}
-
-impl<'a, E> Context<'a, E> {
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Access to the deterministic random number generator.
-    pub fn rng(&mut self) -> &mut DetRng {
-        self.rng
-    }
-
-    /// Schedules `event` to be delivered at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current time: delivering events in
-    /// the past would silently reorder causality.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule an event in the past (now={}, requested={})",
-            self.now,
-            at
-        );
-        let id = EventId(*self.next_id);
-        *self.next_id += 1;
-        self.directives
-            .push((id, Directive::Schedule { at, event }));
-        id
-    }
-
-    /// Schedules `event` to be delivered `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        let at = self.now + delay;
-        self.schedule_at(at, event)
-    }
-
-    /// Schedules `event` for immediate delivery (same timestamp, after any
-    /// events already pending at this timestamp).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.schedule_at(self.now, event)
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        let marker = EventId(u64::MAX);
-        self.directives.push((marker, Directive::Cancel(id)));
-    }
-
-    /// Requests that the simulation stop once the current callback returns.
-    pub fn stop(&mut self) {
-        let marker = EventId(u64::MAX);
-        self.directives.push((marker, Directive::Stop));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn make_ctx<'a>(
-        now: SimTime,
-        next_id: &'a mut u64,
-        directives: &'a mut Vec<(EventId, Directive<u32>)>,
-        rng: &'a mut DetRng,
-    ) -> Context<'a, u32> {
-        Context {
-            now,
-            next_id,
-            directives,
-            rng,
-        }
-    }
-
-    #[test]
-    fn schedule_produces_monotonic_ids() {
-        let mut next = 0;
-        let mut dirs = Vec::new();
-        let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::from_nanos(5), &mut next, &mut dirs, &mut rng);
-        let a = ctx.schedule_in(SimDuration::from_nanos(1), 1);
-        let b = ctx.schedule_now(2);
-        let c = ctx.schedule_at(SimTime::from_nanos(100), 3);
-        assert!(a < b && b < c);
-        assert_eq!(dirs.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut next = 0;
-        let mut dirs = Vec::new();
-        let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::from_nanos(5), &mut next, &mut dirs, &mut rng);
-        ctx.schedule_at(SimTime::from_nanos(4), 9);
-    }
-
-    #[test]
-    fn cancel_and_stop_are_recorded() {
-        let mut next = 0;
-        let mut dirs = Vec::new();
-        let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut dirs, &mut rng);
-        let id = ctx.schedule_now(7);
-        ctx.cancel(id);
-        ctx.stop();
-        assert_eq!(dirs.len(), 3);
-        assert!(matches!(dirs[1].1, Directive::Cancel(x) if x == id));
-        assert!(matches!(dirs[2].1, Directive::Stop));
-    }
-
-    #[test]
-    fn rng_is_reachable_through_context() {
-        let mut next = 0;
-        let mut dirs: Vec<(EventId, Directive<u32>)> = Vec::new();
-        let mut rng = DetRng::new(42);
-        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut dirs, &mut rng);
-        let x = ctx.rng().next_u64();
-        let y = ctx.rng().next_u64();
-        assert_ne!(x, y);
     }
 }

@@ -6,30 +6,30 @@
 //!
 //! The paper evaluates its architecture in omnet++; this crate plays the same
 //! role: it advances simulated time, delivers events in timestamp order, and
-//! collects statistics. It is deliberately single threaded so that every run
-//! with the same seed and configuration is bit-for-bit reproducible.
+//! collects statistics. A model runs split into shards on any number of
+//! threads, and every run with the same configuration is bit-for-bit
+//! reproducible whatever the shard or thread count.
 //!
 //! ## Overview
 //!
 //! * [`time`] — picosecond-resolution [`SimTime`]/[`SimDuration`] arithmetic.
 //! * [`units`] — physical units (bit rates, lengths, power) and the
 //!   conversions into simulated durations (serialization, propagation).
-//! * [`event`] — the [`Model`] trait implemented by anything
-//!   the engine can drive, and the [`Context`] handed to it.
-//! * [`queue`] — the [`Scheduler`] trait and the
-//!   reference binary-heap pending-event set with FIFO tie-breaking.
-//! * [`calendar`] — the two-level calendar-queue scheduler, the default
-//!   engine since the hot-path refactor.
-//! * [`engine`] — the [`Simulator`] main loop, generic
-//!   over the scheduler.
+//! * [`event`] — the [`EventId`](event::EventId) that orders same-instant
+//!   events in the pending-event sets.
+//! * [`queue`] — the [`Scheduler`] trait and the reference binary-heap
+//!   pending-event set, kept as the oracle of the calendar queue.
+//! * [`calendar`] — the two-level calendar-queue scheduler every shard runs
+//!   on.
+//! * [`windowed`] — the engine: conservative time-window execution of
+//!   sharded models, with per-shard calendar queues, content-keyed event
+//!   ordering, outbox mailboxes exchanged between rounds, and a sync hook for
+//!   global control. One shard is the single-core case.
 //! * [`rng`] — a self-contained, versioned deterministic RNG plus the
 //!   distributions the workloads need.
 //! * [`stats`] — counters, histograms, time-weighted gauges, rate meters and
 //!   series recorders used for every experiment's output.
 //! * [`config`] — serde-serialisable simulation configuration.
-//! * [`windowed`] — conservative time-window execution of sharded models:
-//!   per-shard calendar queues, content-keyed event ordering, outbox
-//!   mailboxes exchanged at barriers, and a sync hook for global control.
 //! * [`json`] — a minimal dependency-free JSON reader/writer used for run
 //!   provenance and scenario-matrix exports.
 //!
@@ -38,31 +38,42 @@
 //! ```
 //! use rackfabric_sim::prelude::*;
 //!
-//! /// A model that counts ticks until the simulation horizon.
+//! /// A one-shard model that counts ticks until the simulation horizon.
 //! struct Ticker { period: SimDuration, ticks: u64 }
 //!
-//! #[derive(Debug, Clone, PartialEq, Eq)]
 //! struct Tick;
 //!
-//! impl Model for Ticker {
+//! impl ShardModel for Ticker {
 //!     type Event = Tick;
-//!     fn init(&mut self, ctx: &mut Context<Tick>) {
-//!         ctx.schedule_in(self.period, Tick);
-//!     }
-//!     fn handle(&mut self, ctx: &mut Context<Tick>, _ev: Tick) {
+//!     fn handle(&mut self, ctx: &mut WindowCtx<'_, Tick>, _ev: Tick) {
 //!         self.ticks += 1;
-//!         ctx.schedule_in(self.period, Tick);
+//!         let next = ctx.now() + self.period;
+//!         // The key orders same-instant events; one tick is pending at a time.
+//!         ctx.schedule(next, 0, Tick);
 //!     }
 //! }
 //!
-//! let mut sim = Simulator::new(Ticker { period: SimDuration::from_nanos(100), ticks: 0 }, 42);
-//! sim.run_until(SimTime::from_micros(1));
-//! assert_eq!(sim.model().ticks, 10);
+//! /// No global control points; the lookahead bounds the window length.
+//! struct NoControl;
+//!
+//! impl SyncHook<Ticker> for NoControl {
+//!     fn next_sync(&self) -> SimTime { SimTime::MAX }
+//!     fn on_sync(&mut self, _at: SimTime, _shards: &mut ShardsView<'_, Ticker>) {}
+//!     fn lookahead(&self) -> SimDuration { SimDuration::from_nanos(100) }
+//! }
+//!
+//! let period = SimDuration::from_nanos(100);
+//! let mut sim = WindowedSim::new(vec![Ticker { period, ticks: 0 }]);
+//! sim.schedule(0, SimTime::ZERO + period, 0, Tick);
+//! let out = sim.run(SimTime::from_micros(1), &mut NoControl);
+//! assert_eq!(out.outcome, RunOutcome::HorizonReached);
+//! assert_eq!(sim.into_models()[0].ticks, 10);
 //! ```
 
 pub mod calendar;
 pub mod config;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod event;
 pub mod json;
 pub mod queue;
@@ -76,20 +87,19 @@ pub mod windowed;
 pub mod prelude {
     pub use crate::calendar::CalendarQueue;
     pub use crate::config::SimConfig;
-    pub use crate::engine::{HeapSimulator, RunOutcome, SchedulerKind, Simulator};
-    pub use crate::event::{Context, Model};
-    pub use crate::queue::{EventQueue, Scheduler};
+    pub use crate::queue::Scheduler;
     pub use crate::rng::DetRng;
     pub use crate::stats::{Counter, Histogram, RateMeter, Series, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{BitRate, Bytes, Energy, Length, Power};
-    pub use crate::windowed::{ShardModel, SyncHook, WindowCtx, WindowedOutcome, WindowedSim};
+    pub use crate::windowed::{
+        RunOutcome, ShardModel, ShardsView, SyncHook, WindowCtx, WindowedOutcome, WindowedSim,
+    };
 }
 
 pub use calendar::CalendarQueue;
 pub use config::SimConfig;
-pub use engine::{HeapSimulator, RunOutcome, SchedulerKind, Simulator};
-pub use event::{Context, Model};
-pub use queue::{EventQueue, Scheduler};
+pub use queue::Scheduler;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
+pub use windowed::{RunOutcome, WindowedSim};

@@ -2,20 +2,17 @@
 //!
 //! Two interchangeable implementations sit behind the [`Scheduler`] trait:
 //!
-//! * [`EventQueue`] — a binary heap keyed on `(timestamp, sequence number)`,
-//!   the reference implementation. Simple, allocation-light, `O(log n)` per
-//!   operation.
 //! * [`CalendarQueue`](crate::calendar::CalendarQueue) — a two-level
 //!   calendar/timing-wheel scheduler with amortised `O(1)` scheduling for the
-//!   near future, the default engine since the hot-path refactor.
+//!   near future: the one the windowed engine runs on.
+//! * [`EventQueue`] — a binary heap keyed on `(timestamp, EventId)`, the
+//!   reference implementation. Simple, allocation-light, `O(log n)` per
+//!   operation; kept as the oracle the calendar queue is checked against.
 //!
-//! Both deliver events in strictly increasing `(time, EventId)` order. The
-//! sequence number makes delivery of same-timestamp events FIFO with respect
-//! to scheduling order, which is what keeps simulations deterministic when
-//! many components react at the same instant (e.g. all mappers of a shuffle
-//! start at t=0). The property test in `tests/scheduler_equivalence.rs`
-//! checks the two implementations agree on arbitrary schedule/cancel
-//! sequences.
+//! Both deliver events in strictly increasing `(time, EventId)` order, so a
+//! model that picks stable ids gets the same same-instant order on every
+//! run. The property test in `tests/scheduler_equivalence.rs` checks the two
+//! implementations agree on arbitrary schedule/cancel sequences.
 //!
 //! Cancellation is lazy: cancelled ids are kept in a set and skipped when
 //! popped, which is O(1) per cancellation and avoids a heap rebuild. A
@@ -78,10 +75,10 @@ impl Hasher for IdHasher {
 /// A hash set of event ids using the fast id hasher.
 pub(crate) type IdSet = HashSet<EventId, BuildHasherDefault<IdHasher>>;
 
-/// The pending-event set interface the [`Simulator`](crate::engine::Simulator)
-/// drives. Implementations must deliver events in strictly increasing
-/// `(time, EventId)` order; ids pushed must be unique over the lifetime of
-/// the scheduler (the engine's monotone sequence counter guarantees this).
+/// The pending-event set interface. Implementations must deliver events in
+/// strictly increasing `(time, EventId)` order; ids pushed must be unique
+/// among pending events (the windowed engine's content-derived keys
+/// guarantee this).
 pub trait Scheduler<E> {
     /// Inserts an event at `at` with identity `id`.
     fn push(&mut self, at: SimTime, id: EventId, event: E);

@@ -4,14 +4,11 @@
 //! `u64` seed, including across library upgrades, so the generator is
 //! implemented here (xoshiro256** seeded through SplitMix64) rather than
 //! relying on `StdRng`, whose algorithm is explicitly not stable across
-//! `rand` releases. The `rand` crate is still used by callers that want the
-//! `Rng` trait extension methods; [`DetRng`] implements [`rand::RngCore`].
+//! `rand` releases.
 //!
 //! Besides raw integers, this module provides the handful of distributions
 //! the workload generators need: uniform ranges, exponential inter-arrival
 //! times, Pareto and log-normal flow sizes, and Zipf hotspot selection.
-
-use rand::RngCore;
 
 /// SplitMix64 step, used for seeding.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -68,6 +65,25 @@ impl DetRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
+    }
+
+    /// Next raw 32-bit value: the high half of [`DetRng::next_u64`].
+    pub fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    /// Fills `dest` with random bytes, eight per [`DetRng::next_u64`] draw
+    /// (little-endian; a short tail uses the low bytes of one more draw).
+    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let mut chunks = dest.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            let bytes = self.next_u64().to_le_bytes();
+            rem.copy_from_slice(&bytes[..rem.len()]);
+        }
     }
 
     /// A uniform float in [0, 1).
@@ -186,26 +202,6 @@ impl DetRng {
             if perm.iter().enumerate().all(|(i, &p)| i != p) {
                 return perm;
             }
-        }
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        DetRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&DetRng::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = DetRng::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Statistics collection.
 //!
-//! Every experiment output in `EXPERIMENTS.md` is produced from these
-//! collectors: monotonic [`Counter`]s, log-bucketed [`Histogram`]s for
-//! latency percentiles, [`TimeWeighted`] gauges for occupancy and power,
-//! [`RateMeter`]s for throughput, and [`Series`] recorders for plotting a
-//! value against simulated time (the figures).
+//! Every experiment output (the figure exports under `golden/`) is produced
+//! from these collectors: monotonic [`Counter`]s, log-bucketed
+//! [`Histogram`]s for latency percentiles, [`TimeWeighted`] gauges for
+//! occupancy and power, [`RateMeter`]s for throughput, and [`Series`]
+//! recorders for plotting a value against simulated time (the figures).
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};

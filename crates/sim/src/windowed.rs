@@ -1,8 +1,8 @@
-//! Conservative time-window execution of a sharded model.
+//! Conservative time-window execution of a sharded model — the simulation
+//! engine.
 //!
-//! The monolithic [`Simulator`](crate::engine::Simulator) drives one model on
-//! one core. This module is the substrate for running a simulation split
-//! into **shards**: each shard owns a disjoint slice of the model's state and
+//! A simulation is split into **shards** (one shard is the single-core
+//! case): each shard owns a disjoint slice of the model's state and
 //! a private [`CalendarQueue`], and the [`WindowedSim`] driver advances all
 //! shards through **windows** bounded by a conservative lookahead — the
 //! synchronous-window variant of conservative parallel DES, executed by a
@@ -51,11 +51,11 @@
 //!
 //! ## Determinism: content-keyed event ordering
 //!
-//! The engine's schedulers deliver events in `(time, EventId)` order. The
-//! monolithic simulator allocates ids from a sequence counter, which makes
-//! same-instant ordering depend on *allocation order* — a property that
-//! cannot be reproduced when the allocating work is distributed over shards.
-//! The windowed driver therefore gives the **model** control of the id: every
+//! The engine's schedulers deliver events in `(time, EventId)` order. Ids
+//! allocated from a sequence counter would make same-instant ordering depend
+//! on *allocation order* — a property that cannot be reproduced when the
+//! allocating work is distributed over shards. The windowed driver therefore
+//! gives the **model** control of the id: every
 //! scheduled event and envelope carries an explicit 64-bit `key`, and
 //! same-instant events are delivered in ascending key order. A model that
 //! derives keys from stable identities (flow ids, sequence numbers) gets an
@@ -94,7 +94,6 @@
 //! model makes even the shard count immaterial.
 
 use crate::calendar::CalendarQueue;
-use crate::engine::RunOutcome;
 use crate::event::EventId;
 use crate::queue::Scheduler;
 use crate::time::{SimDuration, SimTime};
@@ -313,9 +312,16 @@ impl<M: ShardModel> ShardCell<M> {
     }
 
     /// Processes every pending event strictly before `end_ps`, merging the
-    /// active and passive calendars in `(time, key)` order.
-    fn drain(&mut self, end_ps: u64, classify: fn(u64) -> bool) {
+    /// active and passive calendars in `(time, key)` order, but at most
+    /// `max_events` of them: a cell that alone uses up the run's remaining
+    /// event budget stops mid-window, so a livelock (events rescheduling
+    /// themselves at the same instant) cannot spin forever inside one window.
+    fn drain(&mut self, end_ps: u64, max_events: u64, classify: fn(u64) -> bool) {
+        let first = self.events;
         loop {
+            if self.events - first >= max_events {
+                break;
+            }
             let a = self.active.peek_entry();
             let p = self.passive.peek_entry();
             let (t, from_passive) = match (a, p) {
@@ -372,10 +378,24 @@ impl<M: ShardModel> ShardCell<M> {
     }
 }
 
+/// Why a [`WindowedSim::run`] call returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// The pending-event set became empty before the horizon.
+    Drained,
+    /// The horizon was reached; later events are still pending.
+    HorizonReached,
+    /// The shards' stop contributions reached the sync hook's
+    /// [`SyncHook::stop_threshold`].
+    Stopped,
+    /// The configured event budget was exhausted (guards against livelock).
+    EventBudgetExhausted,
+}
+
 /// What [`WindowedSim::run`] produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowedOutcome {
-    /// Why the run ended (same vocabulary as the monolithic engine).
+    /// Why the run ended.
     pub outcome: RunOutcome,
     /// The clock when the run ended.
     pub now: SimTime,
@@ -792,7 +812,10 @@ impl<M: ShardModel> WindowedSim<M> {
         }
     }
 
-    /// Caps the total number of events processed across all shards.
+    /// Caps the total number of events processed across all shards. The cap
+    /// is checked at window edges; inside a window a shard stops once it
+    /// alone has used what was left of the budget, so a single-shard run
+    /// ends after exactly `budget` events.
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
         self
@@ -935,12 +958,14 @@ impl<M: ShardModel> WindowedSim<M> {
     }
 
     /// Merges a cell's inbox into its calendars, drains it through the
-    /// window, flushes its outbox into destination inboxes (covering the
-    /// envelopes' instants in `totals`), and absorbs the cell's summary.
+    /// window (at most `max_events` events), flushes its outbox into
+    /// destination inboxes (covering the envelopes' instants in `totals`),
+    /// and absorbs the cell's summary.
     fn process_cell(
         &self,
         idx: usize,
         end_ps: Option<u64>,
+        max_events: u64,
         totals: &mut WorkerTotals,
         profiler: Option<&WindowProfiler>,
     ) {
@@ -958,14 +983,14 @@ impl<M: ShardModel> WindowedSim<M> {
                 Some(p) => {
                     let before = cell.events;
                     let start = Instant::now();
-                    cell.drain(end_ps, classify);
+                    cell.drain(end_ps, max_events, classify);
                     p.record_drain(
                         cell.shard,
                         start.elapsed().as_nanos() as u64,
                         cell.events - before,
                     );
                 }
-                None => cell.drain(end_ps, classify),
+                None => cell.drain(end_ps, max_events, classify),
             }
             for env in cell.outbox.drain(..) {
                 if let Some(p) = profiler {
@@ -1020,7 +1045,7 @@ impl<M: ShardModel> WindowedSim<M> {
                 Plan::Sync(at) => {
                     let mut totals = WorkerTotals::new();
                     for idx in (worker..self.cells.len()).step_by(workers) {
-                        self.process_cell(idx, None, &mut totals, profiler);
+                        self.process_cell(idx, None, 0, &mut totals, profiler);
                     }
                     board.phases[worker].publish(round, &totals);
                     if worker == 0 {
@@ -1084,9 +1109,12 @@ impl<M: ShardModel> WindowedSim<M> {
                     if worker == 0 && self.observer.is_enabled() {
                         span.arg_u64("end_ps", end_ps);
                     }
+                    // Each shard may use what is left of the budget; the
+                    // planner's window-edge check then ends the run.
+                    let max_events = self.event_budget.saturating_sub(planner.prev_events);
                     let mut totals = WorkerTotals::new();
                     for idx in (worker..self.cells.len()).step_by(workers) {
-                        self.process_cell(idx, Some(end_ps), &mut totals, profiler);
+                        self.process_cell(idx, Some(end_ps), max_events, &mut totals, profiler);
                     }
                     drop(span);
                     board.phases[worker].publish(round, &totals);
@@ -1612,6 +1640,34 @@ mod tests {
         }
         let mut sim = WindowedSim::new(vec![Bad { shard: 0 }, Bad { shard: 1 }]).with_workers(1);
         sim.schedule(0, SimTime::from_nanos(50), 0, ());
+        sim.run(SimTime::MAX, &mut Hook);
+    }
+
+    /// A handler may not schedule behind its shard's clock: delivering an
+    /// event in the past would silently reorder causality.
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn scheduling_in_the_past_panics() {
+        struct Rewind;
+        impl ShardModel for Rewind {
+            type Event = ();
+            fn handle(&mut self, ctx: &mut WindowCtx<'_, ()>, _: ()) {
+                let earlier = SimTime::from_picos(ctx.now().as_picos() - 1);
+                ctx.schedule(earlier, 1, ());
+            }
+        }
+        struct Hook;
+        impl SyncHook<Rewind> for Hook {
+            fn next_sync(&self) -> SimTime {
+                SimTime::MAX
+            }
+            fn on_sync(&mut self, _: SimTime, _: &mut ShardsView<'_, Rewind>) {}
+            fn lookahead(&self) -> SimDuration {
+                SimDuration::from_nanos(100)
+            }
+        }
+        let mut sim = WindowedSim::new(vec![Rewind]).with_workers(1);
+        sim.schedule(0, SimTime::from_nanos(5), 0, ());
         sim.run(SimTime::MAX, &mut Hook);
     }
 }

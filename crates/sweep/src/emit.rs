@@ -250,8 +250,14 @@ mod tests {
     use rackfabric_topo::spec::TopologySpec;
 
     fn outcome() -> SweepOutcome {
-        let dir =
-            std::env::temp_dir().join(format!("rackfabric-sweep-emit-{}", std::process::id()));
+        // One directory per call: the tests calling this run in parallel, and
+        // a shared directory let one test delete the other's store mid-sweep.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "rackfabric-sweep-emit-{}-{call}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
         let base = ScenarioSpec::new(

@@ -6,11 +6,8 @@
 //! byte-identical results for them, so the key deliberately **excludes**
 //! every knob that is proven result-neutral:
 //!
-//! * the scheduler choice (`SchedulerKind`) — heap and calendar deliver
-//!   events in identical order (`crates/sim/tests/scheduler_equivalence.rs`),
-//! * the shard **count** — every `shards >= 1` run is byte-identical
-//!   (`tests/shard_determinism.rs`); only the engine *kind* (monolithic vs
-//!   sharded, a genuinely different model) is keyed,
+//! * the shard **count** — every run is byte-identical whatever the count
+//!   (`tests/shard_determinism.rs`),
 //! * worker/thread counts — never part of the spec at all,
 //! * the campaign and topology display names — labels, not inputs.
 //!
@@ -101,16 +98,10 @@ fn string(s: &str) -> JsonValue {
 }
 
 fn spec_value(spec: &ScenarioSpec) -> JsonValue {
-    // `spec.name`, `spec.scheduler` and the shard count are intentionally
-    // absent — see the module docs.
-    let engine = if spec.shards == 0 {
-        "monolithic"
-    } else {
-        "sharded"
-    };
+    // `spec.name` and the shard count are intentionally absent — see the
+    // module docs.
     obj(vec![
         ("controller", controller_value(&spec.controller)),
-        ("engine", string(engine)),
         ("event_budget", uint(spec.event_budget)),
         ("horizon_ps", uint(spec.horizon.as_picos())),
         ("lane_rate_bps", uint(spec.lane_rate.as_bps())),
@@ -331,7 +322,6 @@ fn workload_value(w: &WorkloadSpec) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rackfabric_sim::engine::SchedulerKind;
     use rackfabric_sim::time::{SimDuration, SimTime};
     use rackfabric_sim::units::Bytes;
 
@@ -364,8 +354,6 @@ mod tests {
             job_key(&base().train_window(SimDuration::from_nanos(100)))
         );
         assert_ne!(k, job_key(&base().controller(ControllerSpec::Baseline)));
-        // Monolithic vs sharded is a model change.
-        assert_ne!(k, job_key(&base().shards(1)));
     }
 
     #[test]
@@ -410,14 +398,13 @@ mod tests {
     #[test]
     fn result_neutral_fields_do_not_change_the_key() {
         let k = job_key(&base());
-        // Scheduler choice never affects results.
-        assert_eq!(k, job_key(&base().scheduler(SchedulerKind::Heap)));
         // Campaign name is a label.
         let mut renamed = base();
         renamed.name = "other-name".into();
         assert_eq!(k, job_key(&renamed));
-        // Every shard count >= 1 is byte-identical.
-        assert_eq!(job_key(&base().shards(1)), job_key(&base().shards(4)));
+        // Every shard count is byte-identical (0 runs as 1).
+        assert_eq!(k, job_key(&base().shards(0)));
+        assert_eq!(k, job_key(&base().shards(4)));
         // Topology display name is a label.
         let mut t = TopologySpec::grid(3, 3, 2);
         t.name = "renamed-topology".into();
@@ -430,8 +417,9 @@ mod tests {
     fn canonical_json_parses_and_is_sorted() {
         let text = canonical_spec_json(&base());
         let doc = rackfabric_sim::json::parse(&text).unwrap();
-        assert_eq!(doc.get("engine").unwrap().as_str(), Some("monolithic"));
+        assert!(doc.get("engine").is_none());
         assert!(doc.get("scheduler").is_none());
+        assert!(doc.get("shards").is_none());
         let keys: Vec<&str> = doc
             .as_object()
             .unwrap()

@@ -34,7 +34,9 @@ use std::sync::Arc;
 /// per-edge link class (intra- vs inter-rack), which steers the sharded
 /// engine's conservative lookahead. 4: job keys carry the spec-level
 /// routing-policy override (minimal / Valiant / adaptive dragonfly routing).
-const FORMAT: u64 = 4;
+/// 5: one engine — the key's `engine` field is gone, and flow/job completion
+/// is recorded at the delivery instant rather than the ack instant.
+const FORMAT: u64 = 5;
 
 /// In-memory traffic counters of one open store handle (shared by clones).
 /// Purely observational: nothing in the records themselves depends on them.

@@ -24,7 +24,7 @@ fn main() {
     // (a) Static baseline: 4x4 grid, 2 lanes per link, no CRC.
     let mut base_cfg = FabricConfig::baseline(TopologySpec::grid(4, 4, 2));
     base_cfg.sim = SimConfig::with_seed(7).horizon(SimTime::from_millis(2_000));
-    let baseline = run_fabric(base_cfg, flows.clone());
+    let baseline = run_sharded(ShardedConfig::new(base_cfg, 1), flows.clone());
     let b = baseline.metrics.summary();
 
     // (b) Adaptive fabric: same grid, but the CRC may rewire it into a
@@ -33,7 +33,7 @@ fn main() {
     adaptive_cfg.upgrade_spec = Some(TopologySpec::torus(4, 4, 1));
     adaptive_cfg.crc.epoch = SimDuration::from_micros(20);
     adaptive_cfg.sim = SimConfig::with_seed(7).horizon(SimTime::from_millis(2_000));
-    let adaptive = run_fabric(adaptive_cfg, flows);
+    let adaptive = run_sharded(ShardedConfig::new(adaptive_cfg, 1), flows);
     let a = adaptive.metrics.summary();
 
     println!("\n{:<34}{:>16}{:>16}", "", "baseline grid", "adaptive");
@@ -68,10 +68,16 @@ fn main() {
         format!("{}", b.topology_reconfigurations),
         format!("{}", a.topology_reconfigurations),
     );
+    let start = TopologySpec::grid(4, 4, 2).name;
+    let last_move = adaptive
+        .metrics
+        .reconfig_events
+        .iter()
+        .rev()
+        .find_map(|(_, name)| name.strip_prefix("topology->"));
     println!(
-        "\nfinal adaptive topology: {} (started as {})",
-        adaptive.current_spec.name,
-        TopologySpec::grid(4, 4, 2).name
+        "\nfinal adaptive topology: {} (started as {start})",
+        last_move.unwrap_or(&start)
     );
     let speedup = b.job_completion_us.unwrap_or(f64::NAN) / a.job_completion_us.unwrap_or(f64::NAN);
     println!("speedup from adaptation: {speedup:.2}x");

@@ -1,23 +1,19 @@
 //! Hot-path perf smoke sweep.
 //!
-//! Drives the heavy-shuffle scenario matrices through the scenario engine,
+//! Drives the heavy-shuffle multi-rack scenario matrices (a 16×16 torus and
+//! a multi-rack fat-tree at full size) through the scenario engine,
 //! measures engine events/sec and tail latency per cell, and writes the
 //! results to `BENCH_hotpath.json` — the perf-trajectory artifact the
 //! ROADMAP tracks across hot-path work. Correctness gates (never
 //! timing-sensitive):
 //!
-//! * heap vs calendar schedulers must export byte-identical aggregates,
 //! * 1-thread vs N-thread runners must export byte-identical aggregates,
-//! * **1-shard vs N-shard runs of the sharded multi-rack engine must export
-//!   byte-identical aggregates** — the acceptance gate of the sharded
-//!   engine, which also opens the 16×16 torus and multi-rack fat-tree cells
-//!   the monolithic engine could not afford.
+//! * **1-shard vs N-shard runs must export byte-identical aggregates** —
+//!   the acceptance gate of the sharded engine,
+//! * worker counts must not change a cell's results.
 //!
-//! `BENCH_hotpath.json` bookkeeping: the `pre_pr_events_per_sec` baseline
-//! recorded by the first run on a machine is **preserved** across runs (it
-//! anchors the speedup column; overwriting it with the latest tree's
-//! numbers would erase the trajectory), and every full run **appends** a
-//! `history` entry so the perf trajectory is browsable per-commit.
+//! `BENCH_hotpath.json` bookkeeping: every full run **appends** a `history`
+//! entry so the perf trajectory is browsable per-commit.
 //!
 //! ```text
 //! cargo run --release --example perf_smoke                 # full sweep
@@ -62,47 +58,12 @@ use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use std::sync::Arc;
 
-/// Pre-refactor engine throughput on this sweep's 8×8 heavy-shuffle cells
-/// (binary-heap scheduler, hash-map fabric state, one event per packet),
-/// measured at the PR-1 tree on the reference dev container. Used only when
-/// no `BENCH_hotpath.json` exists yet; afterwards the baseline recorded in
-/// the file wins and is never overwritten.
-const PRE_PR_EVENTS_PER_SEC_ADAPTIVE: f64 = 315_794.0;
-const PRE_PR_EVENTS_PER_SEC_BASELINE: f64 = 654_893.0;
-
 /// How many history entries the bench file retains.
 const HISTORY_CAP: usize = 50;
 
-fn matrix(tiny: bool, scheduler: SchedulerKind) -> Matrix {
-    let (rack, horizon) = if tiny {
-        (TopologySpec::grid(3, 3, 2), SimTime::from_millis(10))
-    } else {
-        (TopologySpec::grid(8, 8, 2), SimTime::from_millis(50))
-    };
-    let base = ScenarioSpec::new(
-        "hotpath-perf-smoke",
-        rack,
-        WorkloadSpec::Shuffle {
-            partition: Bytes::from_kib(64),
-            load: 1.0,
-        },
-    )
-    .horizon(horizon)
-    .scheduler(scheduler);
-    Matrix::new(base)
-        .axis(
-            "controller",
-            vec![
-                AxisValue::Controller(ControllerSpec::Baseline),
-                AxisValue::Controller(ControllerSpec::adaptive_default()),
-            ],
-        )
-        .master_seed(7)
-}
-
-/// The sharded-engine sweep: multi-rack cells the monolithic engine could
-/// not afford, each run at `shards` rack groups. Tiny mode keeps one small
-/// rack so the CI gate stays cheap.
+/// The sweep: multi-rack heavy-shuffle cells, each run at `shards` rack
+/// groups, under the baseline and the adaptive controller. Tiny mode keeps
+/// one small rack so the CI gate stays cheap.
 fn sharded_matrix(tiny: bool, shards: usize) -> Matrix {
     let (topologies, partition, horizon) = if tiny {
         (
@@ -291,15 +252,6 @@ fn previous_bench(path: &str) -> Option<json::JsonValue> {
     json::parse(&text).ok()
 }
 
-/// Renders one `{"baseline": x, "adaptive": y}` object.
-fn baselines_json(baseline: f64, adaptive: f64) -> String {
-    format!(
-        "{{\"baseline\": {}, \"adaptive\": {}}}",
-        json::number(baseline),
-        json::number(adaptive)
-    )
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let tiny = args.iter().any(|a| a == "--tiny");
@@ -350,61 +302,28 @@ fn main() {
     }
 
     let mode = if tiny { "tiny" } else { "full" };
+
+    // 1. The timed sweep at the requested shard count, single-threaded for
+    //    clean per-job timing.
     eprintln!("perf_smoke: running {mode} heavy-shuffle sweep ({shards}-shard arm)...");
-
-    // Timed runs: calendar scheduler, single thread (clean per-job timing),
-    // best wall-clock of three passes per cell to shrug off machine noise.
-    // Event counts and all simulation results are identical across passes
-    // (enforced below); only the wall measurement varies.
-    let mut passes: Vec<MatrixResult> = (0..3)
-        .map(|_| Runner::single_threaded().run(&matrix(tiny, SchedulerKind::Calendar)))
-        .collect();
-    for pass in &passes {
-        if pass.failed_jobs() > 0 {
-            eprintln!("perf_smoke: FAIL — {} job(s) panicked", pass.failed_jobs());
-            std::process::exit(1);
-        }
-    }
-    let repeat_ok = passes
-        .windows(2)
-        .all(|w| w[0].to_csv() == w[1].to_csv() && w[0].to_json() == w[1].to_json());
-    if !repeat_ok {
-        eprintln!("perf_smoke: FAIL — repeated runs diverged");
-    }
-    let mut timed = passes.remove(0);
-    for pass in &passes {
-        for (cell, other) in timed.cells.iter_mut().zip(&pass.cells) {
-            cell.wall_nanos = cell.wall_nanos.min(other.wall_nanos);
-        }
-    }
-
-    // Correctness cross-checks (never timing-sensitive):
-    // 1. heap vs calendar must export byte-identical aggregates,
-    // 2. 1 thread vs N threads must export byte-identical aggregates.
-    let heap = Runner::single_threaded().run(&matrix(tiny, SchedulerKind::Heap));
-    let parallel = Runner::new(0).run(&matrix(tiny, SchedulerKind::Calendar));
-    let heap_ok = timed.to_csv() == heap.to_csv() && timed.to_json() == heap.to_json();
-    let threads_ok = timed.to_csv() == parallel.to_csv() && timed.to_json() == parallel.to_json();
-    if !heap_ok {
-        eprintln!("perf_smoke: FAIL — heap and calendar schedulers diverged");
-    }
-    if !threads_ok {
-        eprintln!("perf_smoke: FAIL — 1-thread and N-thread sweeps diverged");
-    }
-
-    // 3. The sharded engine: N shards must export byte-identically to the
-    //    1-shard reference. The N-shard arm is the timed one (it is the
-    //    configuration the multi-rack cells are meant to run at). When this
-    //    invocation *is* the 1-shard arm there is nothing to cross-check
-    //    in-process — rerunning the identical matrix would only compare a
-    //    run against its own repeat; the CI gate compares this arm's export
-    //    against the N-shard arm's across processes instead.
-    eprintln!("perf_smoke: running sharded multi-rack sweep ({shards}-shard arm)...");
     let sharded_n = Runner::single_threaded().run(&sharded_matrix(tiny, shards));
     if sharded_n.failed_jobs() > 0 {
         eprintln!("perf_smoke: FAIL — sharded job(s) panicked");
         std::process::exit(1);
     }
+    // 2. 1 thread vs N threads must export byte-identical aggregates.
+    let parallel = Runner::new(0).run(&sharded_matrix(tiny, shards));
+    let threads_ok =
+        sharded_n.to_csv() == parallel.to_csv() && sharded_n.to_json() == parallel.to_json();
+    if !threads_ok {
+        eprintln!("perf_smoke: FAIL — 1-thread and N-thread sweeps diverged");
+    }
+
+    // 3. N shards must export byte-identically to the 1-shard reference.
+    //    When this invocation *is* the 1-shard arm there is nothing to
+    //    cross-check in-process — rerunning the identical matrix would only
+    //    compare a run against its own repeat; the CI gate compares this
+    //    arm's export against the N-shard arm's across processes instead.
     let shards_ok = if shards == 1 {
         true
     } else {
@@ -489,17 +408,9 @@ fn main() {
         eprintln!("perf_smoke: wrote byte-stable sharded cells to {path}");
     }
 
-    // Preserve the first-recorded pre-PR baseline and the run history.
+    // Preserve the run history.
     let bench_path = "BENCH_hotpath.json";
     let previous = previous_bench(bench_path);
-    let pre_pr = previous
-        .as_ref()
-        .and_then(|p| p.get("pre_pr_events_per_sec"))
-        .and_then(|b| Some((b.get("baseline")?.as_f64()?, b.get("adaptive")?.as_f64()?)))
-        .unwrap_or((
-            PRE_PR_EVENTS_PER_SEC_BASELINE,
-            PRE_PR_EVENTS_PER_SEC_ADAPTIVE,
-        ));
     let mut history: Vec<String> = previous
         .as_ref()
         .and_then(|p| p.get("history"))
@@ -526,12 +437,7 @@ fn main() {
             .unwrap_or(1)
     ));
     out.push_str(&format!(
-        "  \"pre_pr_events_per_sec\": {},\n",
-        baselines_json(pre_pr.0, pre_pr.1)
-    ));
-    out.push_str(&format!(
-        "  \"determinism\": {{\"heap_vs_calendar_identical\": {heap_ok}, \
-         \"serial_vs_parallel_identical\": {threads_ok}, \
+        "  \"determinism\": {{\"serial_vs_parallel_identical\": {threads_ok}, \
          \"shard_counts_identical\": {shards_ok}, \
          \"worker_counts_identical\": {workers_ok}}},\n"
     ));
@@ -621,56 +527,6 @@ fn main() {
     out.push_str("  \"cells\": [\n");
     let mut cell_rows: Vec<String> = Vec::new();
     let mut history_cells: Vec<String> = Vec::new();
-    for cell in timed.cells.iter() {
-        let controller = cell
-            .labels
-            .iter()
-            .find(|(k, _)| k == "controller")
-            .map(|(_, v)| v.as_str())
-            .unwrap_or("?");
-        let events_per_sec = cell.events_per_sec();
-        let anchor = match controller {
-            "baseline" => pre_pr.0,
-            _ => pre_pr.1,
-        };
-        // Speedup is only meaningful against the matching full-size cells.
-        let speedup = if tiny { 0.0 } else { events_per_sec / anchor };
-        cell_rows.push(format!(
-            "    {{\"engine\": \"monolithic\", \"controller\": \"{}\", \"events\": {}, \
-             \"wall_ms\": {}, \"events_per_sec\": {}, \"latency_p50_ps\": {}, \
-             \"latency_p99_ps\": {}, \"route_cache_hit_rate\": {}, \"completed_runs\": {}, \
-             \"speedup_vs_pre_pr\": {}}}",
-            json::escape(controller),
-            cell.events_processed,
-            json::number(cell.wall_nanos as f64 / 1e6),
-            json::number(events_per_sec),
-            json::number(cell.packet_latency.p50),
-            json::number(cell.packet_latency.p99),
-            json::number(cell.route_cache_hit_rate),
-            cell.completed_runs,
-            json::number(speedup),
-        ));
-        history_cells.push(format!(
-            "{{\"cell\": \"{}\", \"events_per_sec\": {}}}",
-            json::escape(controller),
-            json::number(events_per_sec)
-        ));
-        eprintln!(
-            "  {controller:>9}: {:>9} events in {:>8.1} ms = {:>9.0} events/sec \
-             (p50 {:.0} ps, p99 {:.0} ps, cache {:.3}{})",
-            cell.events_processed,
-            cell.wall_nanos as f64 / 1e6,
-            events_per_sec,
-            cell.packet_latency.p50,
-            cell.packet_latency.p99,
-            cell.route_cache_hit_rate,
-            if tiny {
-                String::new()
-            } else {
-                format!(", {speedup:.2}x vs pre-PR")
-            },
-        );
-    }
     for cell in sharded_n.cells.iter() {
         let rack = cell
             .labels
@@ -687,7 +543,7 @@ fn main() {
         let label = format!("{rack}/{controller}");
         let events_per_sec = cell.events_per_sec();
         cell_rows.push(format!(
-            "    {{\"engine\": \"sharded\", \"racks\": \"{}\", \"controller\": \"{}\", \
+            "    {{\"racks\": \"{}\", \"controller\": \"{}\", \
              \"shards\": {}, \"events\": {}, \"wall_ms\": {}, \"events_per_sec\": {}, \
              \"latency_p50_ps\": {}, \"latency_p99_ps\": {}, \"route_cache_hit_rate\": {}, \
              \"completed_runs\": {}}}",
@@ -751,7 +607,7 @@ fn main() {
     }
     eprintln!("perf_smoke: wrote {bench_path}");
 
-    if !(heap_ok && threads_ok && repeat_ok && shards_ok && workers_ok) {
+    if !(threads_ok && shards_ok && workers_ok) {
         std::process::exit(1);
     }
 }

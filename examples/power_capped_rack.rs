@@ -30,8 +30,8 @@ fn run_with_policy(policy: CrcPolicy, label: &str) {
     config.crc.epoch = SimDuration::from_micros(50);
     config.stop_when_done = false; // keep sampling power after the flows drain
     config.sim = SimConfig::with_seed(3).horizon(SimTime::from_millis(5));
-    let fabric = run_fabric(config, flows);
-    let s = fabric.metrics.summary();
+    let run = run_sharded(ShardedConfig::new(config, 1), flows);
+    let s = run.metrics.summary();
 
     println!("--- {label} ---");
     println!("  mean power   : {:.1} W", s.mean_power_w);

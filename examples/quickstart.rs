@@ -24,9 +24,9 @@ fn main() {
     // Adaptive fabric: Closed Ring Control with the default hybrid policy.
     let mut config = FabricConfig::adaptive(spec);
     config.sim = SimConfig::with_seed(42).horizon(SimTime::from_millis(500));
-    let fabric = run_fabric(config, flows);
+    let run = run_sharded(ShardedConfig::new(config, 1), flows);
 
-    let s = fabric.metrics.summary();
+    let s = run.metrics.summary();
     println!("--- adaptive fabric ---");
     println!("flows completed          : {}", s.completed_flows);
     println!(

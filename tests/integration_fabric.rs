@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: workloads -> core fabric -> metrics, on the
-//! public API only.
+//! public API only. Every run uses one shard; shard-count invariance is
+//! `tests/shard_determinism.rs`'s job.
 
 use rackfabric::prelude::*;
 use rackfabric_sim::prelude::*;
@@ -10,22 +11,26 @@ fn quick(seed: u64, ms: u64) -> SimConfig {
     SimConfig::with_seed(seed).horizon(SimTime::from_millis(ms))
 }
 
+fn run(config: FabricConfig, flows: Vec<Flow>) -> ShardedRun {
+    run_sharded(ShardedConfig::new(config, 1), flows)
+}
+
 #[test]
 fn adaptive_fabric_beats_or_matches_baseline_on_a_shuffle() {
     let flows = MapReduceShuffle::all_to_all(16, Bytes::from_kib(32)).generate(&mut DetRng::new(1));
 
     let mut base_cfg = FabricConfig::baseline(TopologySpec::grid(4, 4, 2));
     base_cfg.sim = quick(1, 1_000);
-    let baseline = run_fabric(base_cfg, flows.clone());
+    let baseline = run(base_cfg, flows.clone());
 
     let mut adaptive_cfg = FabricConfig::adaptive(TopologySpec::grid(4, 4, 2));
     adaptive_cfg.upgrade_spec = Some(TopologySpec::torus(4, 4, 1));
     adaptive_cfg.crc.epoch = SimDuration::from_micros(20);
     adaptive_cfg.sim = quick(1, 1_000);
-    let adaptive = run_fabric(adaptive_cfg, flows);
+    let adaptive = run(adaptive_cfg, flows);
 
-    assert!(baseline.all_flows_complete());
-    assert!(adaptive.all_flows_complete());
+    assert!(baseline.all_flows_complete);
+    assert!(adaptive.all_flows_complete);
     let b = baseline.metrics.summary().job_completion_us.unwrap();
     let a = adaptive.metrics.summary().job_completion_us.unwrap();
     // The adaptive fabric escalates to the torus and must not be slower than
@@ -48,8 +53,8 @@ fn incast_creates_congestion_and_queueing_at_the_sink() {
     .generate(&mut DetRng::new(2));
     let mut cfg = FabricConfig::baseline(TopologySpec::grid(3, 3, 2));
     cfg.sim = quick(2, 1_000);
-    let fabric = run_fabric(cfg, flows);
-    assert!(fabric.all_flows_complete());
+    let fabric = run(cfg, flows);
+    assert!(fabric.all_flows_complete);
     let s = fabric.metrics.summary();
     // Eight senders into one 2-lane sink link: queueing must dominate.
     assert!(
@@ -74,8 +79,8 @@ fn routing_algorithms_all_deliver_the_same_bytes() {
         let mut cfg = FabricConfig::adaptive(TopologySpec::grid(3, 3, 2));
         cfg.routing = routing;
         cfg.sim = quick(3, 1_000);
-        let fabric = run_fabric(cfg, flows);
-        assert!(fabric.all_flows_complete(), "{routing:?} failed to finish");
+        let fabric = run(cfg, flows);
+        assert!(fabric.all_flows_complete, "{routing:?} failed to finish");
         assert_eq!(
             fabric.metrics.delivered_bytes, expected,
             "{routing:?} delivered the wrong volume"
@@ -99,11 +104,11 @@ fn torus_start_beats_grid_start_for_edge_to_edge_traffic() {
     };
     let mut grid_cfg = FabricConfig::baseline(TopologySpec::grid(4, 4, 1));
     grid_cfg.sim = quick(4, 1_000);
-    let grid = run_fabric(grid_cfg, mk_flows());
+    let grid = run(grid_cfg, mk_flows());
     let mut torus_cfg = FabricConfig::baseline(TopologySpec::torus(4, 4, 1));
     torus_cfg.sim = quick(4, 1_000);
-    let torus = run_fabric(torus_cfg, mk_flows());
-    assert!(grid.all_flows_complete() && torus.all_flows_complete());
+    let torus = run(torus_cfg, mk_flows());
+    assert!(grid.all_flows_complete && torus.all_flows_complete);
     let g = grid.metrics.summary().packet_latency.p50;
     let t = torus.metrics.summary().packet_latency.p50;
     assert!(
@@ -117,7 +122,7 @@ fn metrics_are_internally_consistent() {
     let flows = MapReduceShuffle::all_to_all(4, Bytes::from_kib(8)).generate(&mut DetRng::new(5));
     let mut cfg = FabricConfig::adaptive(TopologySpec::ring(4, 2));
     cfg.sim = quick(5, 1_000);
-    let fabric = run_fabric(cfg, flows);
+    let fabric = run(cfg, flows);
     let s = fabric.metrics.summary();
     assert_eq!(s.completed_flows, 12);
     assert_eq!(s.delivered_bytes, 12 * 8 * 1024);

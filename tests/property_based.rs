@@ -120,27 +120,60 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End-to-end conservation: for any small workload on a small fabric,
-    /// every injected byte is eventually delivered (the fabric retries drops)
-    /// and the job completion time is at least the slowest flow's completion
-    /// time.
+    /// End-to-end physical invariants of the fabric engine, for any small
+    /// shuffle on a small grid or torus, run at one shard and at one shard
+    /// per rack (grid and torus racks are rows):
+    ///
+    /// * both runs give equal summaries,
+    /// * every injected byte is eventually delivered (the fabric retries
+    ///   drops),
+    /// * the job completion time is at least the slowest flow's,
+    /// * no packet arrives faster than light crosses the shortest link of
+    ///   the rack — the floor of any path's propagation latency.
     #[test]
     fn fabric_delivers_every_byte(
         seed in 0u64..1000,
-        nodes in 2usize..5,
+        side in 2usize..5,
         kib in 1u64..32,
+        torus in 0usize..2,
     ) {
         use rackfabric_workload::{MapReduceShuffle, Workload};
-        let n = nodes * nodes;
-        let flows = MapReduceShuffle::all_to_all(n, Bytes::from_kib(kib))
+        let spec = if torus == 1 {
+            TopologySpec::torus(side, side, 2)
+        } else {
+            TopologySpec::grid(side, side, 2)
+        };
+        let flows = MapReduceShuffle::all_to_all(spec.nodes, Bytes::from_kib(kib))
             .generate(&mut DetRng::new(seed));
         let expected: u64 = flows.iter().map(|f| f.size.as_u64()).sum();
-        let mut cfg = FabricConfig::adaptive(TopologySpec::grid(nodes, nodes, 2));
+        let racks = spec.rack_of().into_iter().max().unwrap() as usize + 1;
+        let min_propagation = {
+            let mut phy = PhyState::new();
+            spec.instantiate(&mut phy, BitRate::from_gbps(25));
+            phy.link_ids()
+                .into_iter()
+                .filter_map(|id| phy.link(id).map(|l| l.propagation_delay()))
+                .min()
+                .unwrap()
+        };
+        let mut cfg = FabricConfig::adaptive(spec);
         cfg.sim = SimConfig::with_seed(seed).horizon(SimTime::from_millis(2_000));
-        let fabric = run_fabric(cfg, flows);
-        prop_assert!(fabric.all_flows_complete());
-        prop_assert_eq!(fabric.metrics.delivered_bytes, expected);
-        let s = fabric.metrics.summary();
+
+        let one = run_sharded(ShardedConfig::new(cfg.clone(), 1), flows.clone());
+        let per_rack = run_sharded(ShardedConfig::new(cfg, racks), flows);
+        prop_assert_eq!(per_rack.shards, racks);
+        let s = one.metrics.summary();
+        prop_assert_eq!(&s, &per_rack.metrics.summary());
+
+        prop_assert!(one.all_flows_complete);
+        prop_assert_eq!(one.metrics.delivered_bytes, expected);
         prop_assert!(s.job_completion_us.unwrap() + 1e-6 >= s.flow_completion_max_us);
+        let fastest = one.metrics.packet_latency.min_sample().unwrap();
+        prop_assert!(
+            fastest >= min_propagation.as_picos(),
+            "a packet took {} ps, under the {} ps flight time of the shortest link",
+            fastest,
+            min_propagation.as_picos()
+        );
     }
 }
