@@ -270,3 +270,100 @@ fn runner_thread_count_cannot_reach_the_key() {
     assert_eq!(serial, parallel);
     assert_eq!(serial.len(), 64);
 }
+
+/// The default grid shuffle: every field at its default.
+fn pinned_grid_shuffle() -> ScenarioSpec {
+    ScenarioSpec::new(
+        "pinned-grid",
+        TopologySpec::grid(2, 2, 2),
+        WorkloadSpec::shuffle(Bytes::from_kib(4)),
+    )
+}
+
+/// An adaptive dragonfly that sets every optional field: an upgrade target,
+/// a routing override, a lane cap, a fixed codec, a non-default power
+/// state, bypass chains and the hybrid policy.
+fn pinned_adaptive_dragonfly() -> ScenarioSpec {
+    use rackfabric::policy::CrcPolicy;
+    use rackfabric_phy::{FecMode, PowerState};
+    let mut spec = ScenarioSpec::new(
+        "pinned-dragonfly",
+        TopologySpec::dragonfly(2, 1, 1, 1),
+        WorkloadSpec::shuffle(Bytes::from_kib(4)),
+    )
+    .upgrade(TopologySpec::ring(4, 1))
+    .controller(ControllerSpec::Adaptive {
+        policy: CrcPolicy::Hybrid {
+            budget: Power::from_milliwatts(1500),
+        },
+        epoch: SimDuration::from_micros(5),
+        routing: RoutingAlgorithm::Adaptive,
+    })
+    .routing(RoutingAlgorithm::Valiant)
+    .switch_model(SwitchModel::store_and_forward())
+    .seed(7);
+    spec.phy.active_lanes = Some(1);
+    spec.phy.fec = FecSetting::Fixed(FecMode::Rs544);
+    spec.phy.power = PowerState::LowPower;
+    spec.phy.bypassed_nodes = 2;
+    spec
+}
+
+/// Pins the exact key preimage bytes and key of two specs. Every stored
+/// result is addressed by these bytes: a codec change that moved one of
+/// them would silently orphan every existing store record.
+#[test]
+fn key_preimages_and_keys_are_pinned() {
+    let cases = [
+        (
+            pinned_grid_shuffle(),
+            concat!(
+                r#"{"controller":{"epoch_ps":20000000,"kind":"adaptive""#,
+                r#","policy":{"budget_mw":2000000,"kind":"hybrid"},"routing":"MinCost"}"#,
+                r#","event_budget":18446744073709551615,"horizon_ps":50000000000"#,
+                r#","lane_rate_bps":25000000000,"mtu_bytes":1500,"phy":{"bypassed_nodes":0"#,
+                r#","fec":"default","lanes":null,"power":"active"}"#,
+                r#","plp_timing":{"bundle_ps":20000000,"bypass_ps":2000000"#,
+                r#","move_lanes_ps":15000000,"set_active_lanes_ps":5000000"#,
+                r#","set_fec_ps":10000000,"set_power_ps":50000000,"split_ps":20000000}"#,
+                r#","port_buffer_bytes":262144,"routing":"controller-default","seed":1"#,
+                r#","stop_when_done":true,"switch":{"kind":"cut_through""#,
+                r#","pipeline_ps":400000},"topology":{"dims":[2,2],"edges":[[0,1,2,2000"#,
+                r#","OpticalFiber","IntraRack"],[0,2,2,2000,"OpticalFiber""#,
+                r#","InterRack"],[1,3,2,2000,"OpticalFiber","InterRack"],[2,3,2,2000"#,
+                r#","OpticalFiber","IntraRack"]],"kind":"Grid","nodes":4}"#,
+                r#","train_window_ps":1000000,"upgrade":null,"workload":{"kind":"shuffle""#,
+                r#","load":1,"partition_bytes":4096}}"#,
+            ),
+            "cff46aba329f109cb48b7bf7daacd4f2",
+        ),
+        (
+            pinned_adaptive_dragonfly(),
+            concat!(
+                r#"{"controller":{"epoch_ps":5000000,"kind":"adaptive""#,
+                r#","policy":{"budget_mw":1500,"kind":"hybrid"},"routing":"Adaptive"}"#,
+                r#","event_budget":18446744073709551615,"horizon_ps":50000000000"#,
+                r#","lane_rate_bps":25000000000,"mtu_bytes":1500,"phy":{"bypassed_nodes":2"#,
+                r#","fec":"rs544","lanes":1,"power":"low_power"}"#,
+                r#","plp_timing":{"bundle_ps":20000000,"bypass_ps":2000000"#,
+                r#","move_lanes_ps":15000000,"set_active_lanes_ps":5000000"#,
+                r#","set_fec_ps":10000000,"set_power_ps":50000000,"split_ps":20000000}"#,
+                r#","port_buffer_bytes":262144,"routing":"Valiant","seed":7"#,
+                r#","stop_when_done":true,"switch":{"kind":"store_and_forward""#,
+                r#","pipeline_ps":400000},"topology":{"dims":null,"edges":[[0,1,1,2000"#,
+                r#","CopperDac","IntraRack"],[2,3,1,2000,"CopperDac""#,
+                r#","IntraRack"],[0,2,1,20000,"OpticalFiber","InterRack"]],"kind":"Dragonfly""#,
+                r#","nodes":4},"train_window_ps":1000000,"upgrade":{"dims":null"#,
+                r#","edges":[[0,1,1,2000,"OpticalFiber","InterRack"],[1,2,1,2000"#,
+                r#","OpticalFiber","InterRack"],[2,3,1,2000,"OpticalFiber""#,
+                r#","InterRack"],[3,0,1,2000,"OpticalFiber","InterRack"]],"kind":"Ring""#,
+                r#","nodes":4},"workload":{"kind":"shuffle","load":1,"partition_bytes":4096}}"#,
+            ),
+            "d1949decdc8c100cebafd66525d215be",
+        ),
+    ];
+    for (spec, preimage, key) in cases {
+        assert_eq!(canonical_spec_json(&spec), preimage, "{}", spec.name);
+        assert_eq!(job_key(&spec).hex(), key, "{}", spec.name);
+    }
+}
