@@ -16,7 +16,8 @@
 //!
 //! * [`Executor::recover`] — replay a truncated or interrupted campaign to
 //!   completion, executing **zero** jobs that are already journaled and
-//!   stored;
+//!   stored (each journaled spec is decoded by
+//!   [`rackfabric_scenario::codec::decode_spec`]);
 //! * [`diff`] — render two campaign logs command-by-command, making
 //!   "editing one axis re-executes only its cells" auditable instead of
 //!   implicit;
@@ -36,7 +37,6 @@ pub mod command;
 pub mod diff;
 pub mod executor;
 pub mod journal;
-pub mod spec_codec;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
@@ -45,7 +45,6 @@ pub mod prelude {
     pub use crate::diff::{diff_journal_dirs, render_diff};
     pub use crate::executor::{CampaignResolver, Executor, NoCampaigns, RecoveryStats};
     pub use crate::journal::{Journal, LogRecord, LogTail};
-    pub use crate::spec_codec::decode_spec;
 }
 
 pub use bundle::{export_bundle, import_bundle, BundleStats};
@@ -53,4 +52,3 @@ pub use command::{BudgetSpec, Command};
 pub use diff::{diff_journal_dirs, render_diff};
 pub use executor::{CampaignResolver, Executor, NoCampaigns, RecoveryStats};
 pub use journal::{Journal, LogRecord, LogTail};
-pub use spec_codec::decode_spec;

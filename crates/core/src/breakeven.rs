@@ -9,10 +9,9 @@
 
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{BitRate, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// Inputs to one break-even decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakEvenInput {
     /// Bottleneck bandwidth available without reconfiguring.
     pub before: BitRate,
@@ -24,7 +23,7 @@ pub struct BreakEvenInput {
 }
 
 /// The outcome of evaluating a flow against a reconfiguration opportunity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakEvenDecision {
     /// Completion time if the fabric stays as it is.
     pub stay_time: SimDuration,

@@ -20,10 +20,9 @@ use rackfabric_phy::stats::TelemetryReport;
 use rackfabric_phy::{PhyState, PlpCommand};
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::Power;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Closed Ring Control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrcConfig {
     /// The optimisation policy.
     pub policy: CrcPolicy,

@@ -5,10 +5,9 @@ use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_switch::packet::LatencyBreakdown;
 use rackfabric_topo::cache::RouteCacheStats;
 use rackfabric_workload::WorkloadFlowId;
-use serde::{Deserialize, Serialize};
 
 /// Everything the fabric records during a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FabricMetrics {
     /// End-to-end latency of every delivered packet (picoseconds).
     pub packet_latency: Histogram,
@@ -122,7 +121,7 @@ fn mean_y(series: &Series) -> f64 {
 }
 
 /// The condensed result of one fabric run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Packets delivered end to end.
     pub delivered_packets: u64,

@@ -6,10 +6,9 @@
 
 use crate::price::PriceWeights;
 use rackfabric_sim::units::Power;
-use serde::{Deserialize, Serialize};
 
 /// What the Closed Ring Control optimises for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrcPolicy {
     /// Minimise end-to-end latency; power is spent freely within the budget.
     LatencyMinimize,
@@ -36,7 +35,7 @@ impl Default for CrcPolicy {
 }
 
 /// Thresholds a policy exposes to the decision engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyThresholds {
     /// Price weights used when building the price book.
     pub weights: PriceWeights,

@@ -10,11 +10,10 @@
 
 use rackfabric_phy::stats::{LinkTelemetry, TelemetryReport};
 use rackfabric_phy::LinkId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Relative weights of the price components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceWeights {
     /// Weight of the latency component.
     pub latency: f64,
@@ -61,7 +60,7 @@ impl PriceWeights {
 
 /// The price of one link, decomposed by component. All components are
 /// normalised to roughly [0, 1] so the weights are comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPrice {
     /// Which link this price describes.
     pub link: LinkId,
@@ -86,7 +85,7 @@ impl LinkPrice {
 }
 
 /// Normalisation constants for the price components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceNormalization {
     /// Latency that maps to a price of 1.0.
     pub latency_reference_ns: f64,
@@ -110,7 +109,7 @@ impl Default for PriceNormalization {
 }
 
 /// The current price of every link.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PriceBook {
     prices: HashMap<LinkId, LinkPrice>,
     /// The weights the book was built with.

@@ -15,11 +15,10 @@ use rackfabric_sim::time::SimDuration;
 use rackfabric_topo::reconfig::{EdgeChange, SpecDiff};
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A planned reconfiguration: the PLP commands to issue and the spec the
 /// fabric will match once they complete.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReconfigPlan {
     /// Commands, in issue order.
     pub commands: Vec<PlpCommand>,

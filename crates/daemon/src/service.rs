@@ -21,8 +21,8 @@ use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
 use rackfabric_bench::figures::{figure_defs, FigureKind, Scale};
 use rackfabric_cmd::command::Command;
 use rackfabric_cmd::executor::Executor;
-use rackfabric_cmd::spec_codec::decode_spec;
 use rackfabric_obs::{Observer, TimeDomain};
+use rackfabric_scenario::codec::decode_spec;
 use rackfabric_sim::json::{self, JsonValue};
 use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;

@@ -9,10 +9,9 @@
 
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{BitRate, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the modelled device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumeConfig {
     /// Core clock period (5 ns at 200 MHz).
     pub clock_period: SimDuration,

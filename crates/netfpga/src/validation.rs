@@ -14,10 +14,9 @@ use rackfabric_phy::media::Media;
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{Bytes, Length};
 use rackfabric_switch::model::{SwitchKind, SwitchModel};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of validating one frame size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationPoint {
     /// Frame size examined.
     pub frame_bytes: u64,
@@ -30,7 +29,7 @@ pub struct ValidationPoint {
 }
 
 /// A full validation report across frame sizes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// One point per frame size.
     pub points: Vec<ValidationPoint>,

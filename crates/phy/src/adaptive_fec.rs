@@ -8,10 +8,9 @@
 
 use crate::fec::FecMode;
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 
 /// Policy for choosing FEC codecs from link BER telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveFecController {
     /// Post-FEC BER the fabric must stay below (typical Ethernet target is
     /// 1e-12 or better).

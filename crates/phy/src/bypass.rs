@@ -12,11 +12,10 @@
 use crate::error::PhyError;
 use crate::link::LinkId;
 use rackfabric_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One active bypass cross-connect at a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bypass {
     /// The node whose switching logic is skipped.
     pub at_node: u32,
@@ -38,7 +37,7 @@ impl Bypass {
 
 /// The set of bypasses currently active in the fabric, indexed by
 /// (node, ingress link).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BypassTable {
     entries: HashMap<(u32, LinkId), Bypass>,
 }

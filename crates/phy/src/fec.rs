@@ -21,10 +21,9 @@
 use crate::signal;
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{BitRate, Power};
-use serde::{Deserialize, Serialize};
 
 /// The FEC codec applied to every lane of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FecMode {
     /// No FEC: zero latency and overhead, no coding gain.
     #[default]

@@ -9,14 +9,13 @@
 use crate::stats::LaneStats;
 use rackfabric_sim::time::SimTime;
 use rackfabric_sim::units::BitRate;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a lane within the whole fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LaneId(pub u64);
 
 /// Operational state of a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneState {
     /// Carrying traffic.
     #[default]
@@ -41,7 +40,7 @@ impl LaneState {
 }
 
 /// A single physical lane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lane {
     /// Fabric-wide identifier.
     pub id: LaneId,

@@ -13,14 +13,13 @@ use crate::signal;
 use crate::stats::LinkTelemetry;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes, Length, Power};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a link within the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u64);
 
 /// Administrative/operational state of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkState {
     /// Carrying traffic.
     #[default]
@@ -33,7 +32,7 @@ pub enum LinkState {
 }
 
 /// A physical link: a bundle of lanes over one medium between two endpoints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Fabric-wide identifier.
     pub id: LinkId,

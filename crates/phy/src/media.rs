@@ -10,10 +10,9 @@
 
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::Length;
-use serde::{Deserialize, Serialize};
 
 /// The family a medium belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Direct-attach copper (twinax) cable.
     CopperDac,
@@ -24,7 +23,7 @@ pub enum MediaKind {
 }
 
 /// A concrete medium instance with its signal-propagation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Media {
     /// Which family this medium is.
     pub kind: MediaKind,

@@ -23,11 +23,10 @@ use crate::power::{PowerModel, PowerState};
 use crate::stats::{LinkTelemetry, TelemetryReport};
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Length, Power};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A Physical Layer Primitive command, as issued by the Closed Ring Control.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlpCommand {
     /// PLP #1 (link breaking): take `lanes` lanes off `link` and terminate
     /// them as a new link between `new_a` and `new_b` (the per-node circuit
@@ -120,7 +119,7 @@ impl PlpCommand {
 /// The defaults are in the range reported for electrically switched
 /// rack-scale fabrics (microseconds) rather than MEMS optics (milliseconds);
 /// experiments that study the break-even flow size sweep this table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlpTiming {
     /// Latency of splitting a link (circuit-switch re-point + retrain).
     pub split: SimDuration,
@@ -182,7 +181,7 @@ impl PlpTiming {
 }
 
 /// Result of executing one PLP command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlpCompletion {
     /// The command's short name.
     pub command: String,
@@ -195,7 +194,7 @@ pub struct PlpCompletion {
 }
 
 /// The complete physical state of the rack's interconnect.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhyState {
     links: HashMap<LinkId, Link>,
     /// Active bypass cross-connects.

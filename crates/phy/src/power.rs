@@ -10,10 +10,9 @@
 use crate::fec::FecMode;
 use crate::link::{Link, LinkState};
 use rackfabric_sim::units::{BitRate, Power};
-use serde::{Deserialize, Serialize};
 
 /// Power state the CRC can put a link into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PowerState {
     /// Full power, all configured lanes active.
     #[default]
@@ -26,7 +25,7 @@ pub enum PowerState {
 }
 
 /// The coefficients of the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Static power of one active lane's SerDes pair (both ends).
     pub lane_static: Power,

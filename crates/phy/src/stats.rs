@@ -11,10 +11,9 @@ use crate::fec::FecMode;
 use crate::link::LinkId;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Power};
-use serde::{Deserialize, Serialize};
 
 /// Raw counters kept by each lane (PLP #5: per-lane statistics).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LaneStats {
     /// Total bytes carried by the lane.
     pub bytes_carried: u64,
@@ -27,7 +26,7 @@ pub struct LaneStats {
 }
 
 /// A per-link telemetry snapshot, produced once per control epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkTelemetry {
     /// Which link this snapshot describes.
     pub link: LinkId,
@@ -89,7 +88,7 @@ impl LinkTelemetry {
 
 /// The rack-wide telemetry report handed to the Closed Ring Control each
 /// epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetryReport {
     /// Instant the report was assembled.
     pub at: SimTime,

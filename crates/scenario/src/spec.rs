@@ -21,11 +21,10 @@ use rackfabric_workload::{
     ArrivalProcess, Flow, FlowSizeDistribution, HotspotWorkload, IncastWorkload, MapReduceShuffle,
     PermutationWorkload, StorageWorkload, UniformWorkload, Workload, WorkloadFlowId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Which workload a cell runs, with a uniform "load" knob across patterns so
 /// a single load axis sweeps any of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// All-to-all MapReduce shuffle; `load` scales the per-pair partition.
     Shuffle {
@@ -257,7 +256,7 @@ impl WorkloadSpec {
 }
 
 /// Initial FEC configuration applied to every link before the run starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FecSetting {
     /// Leave the media's default codec in place.
     Default,
@@ -280,7 +279,7 @@ impl FecSetting {
 
 /// Physical-layer policy of a cell: the initial PLP state the rack boots
 /// with (the CRC may change it afterwards when the controller is adaptive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyPolicy {
     /// Initial FEC codec.
     pub fec: FecSetting,
@@ -324,7 +323,7 @@ impl PhyPolicy {
 }
 
 /// Controller policy of a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControllerSpec {
     /// Static packet-switched baseline: no CRC, shortest-hop routing.
     Baseline,
@@ -359,7 +358,7 @@ impl ControllerSpec {
 }
 
 /// A complete, declarative description of one simulation cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario family name, recorded in exports.
     pub name: String,
@@ -562,8 +561,7 @@ impl ScenarioSpec {
         config.stop_when_done = self.stop_when_done;
         config.sim = SimConfig::with_seed(self.seed)
             .horizon(self.horizon)
-            .event_budget(self.event_budget)
-            .label(self.name.clone());
+            .event_budget(self.event_budget);
         config
     }
 }
@@ -648,7 +646,7 @@ mod tests {
         let config = spec.to_fabric_config();
         assert!(config.adaptive);
         assert_eq!(config.sim.seed, 77);
-        assert_eq!(config.sim.label, "unit");
+        assert_eq!(config.sim.horizon, SimTime::from_millis(10));
         assert_eq!(
             config.upgrade_spec.as_ref().unwrap().name,
             TopologySpec::torus(3, 3, 1).name

@@ -29,7 +29,7 @@
 //!   distributions the workloads need.
 //! * [`stats`] — counters, histograms, time-weighted gauges, rate meters and
 //!   series recorders used for every experiment's output.
-//! * [`config`] — serde-serialisable simulation configuration.
+//! * [`config`] — engine-level simulation configuration.
 //! * [`json`] — a minimal dependency-free JSON reader/writer used for run
 //!   provenance and scenario-matrix exports.
 //!

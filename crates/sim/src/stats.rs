@@ -7,10 +7,9 @@
 //! recorders for plotting a value against simulated time (the figures).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counter {
     value: u64,
 }
@@ -35,7 +34,7 @@ impl Counter {
 }
 
 /// Summary statistics extracted from a histogram or sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of recorded samples.
     pub count: u64,
@@ -74,7 +73,7 @@ impl Summary {
 /// A log-bucketed histogram of non-negative values (HdrHistogram-style with
 /// power-of-two buckets subdivided linearly), trading a bounded ~3 % relative
 /// error for O(1) insertion and fixed memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// 64 major buckets (by leading zero count) x 32 sub-buckets.
     counts: Vec<u64>,
@@ -269,7 +268,7 @@ impl Histogram {
 
 /// A time-weighted average of a piecewise-constant signal (queue occupancy,
 /// instantaneous power draw, lane count).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
@@ -344,7 +343,7 @@ impl TimeWeighted {
 }
 
 /// An exponentially weighted rate meter for throughput-style measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateMeter {
     window: SimDuration,
     last_update: SimTime,
@@ -411,7 +410,7 @@ impl RateMeter {
 }
 
 /// A named (time, value) series used to regenerate the paper's figures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Name of the series, e.g. `"switching_latency_ns"`.
     pub name: String,

@@ -7,7 +7,6 @@
 //! integer **picoseconds** in a `u64`, which still allows ~213 days of
 //! simulated time before overflow — far beyond any experiment in the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -22,11 +21,11 @@ pub const PS_PER_S: u64 = 1_000_000_000_000;
 
 /// An absolute point in simulated time, measured in picoseconds since the
 /// start of the simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, measured in picoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

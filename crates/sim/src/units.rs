@@ -7,7 +7,6 @@
 //! and centralises the conversions into [`SimDuration`]s.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 
 /// A data size in bytes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -111,7 +110,7 @@ impl fmt::Display for Bytes {
 }
 
 /// A data rate in bits per second.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BitRate(u64);
 
 impl BitRate {
@@ -228,7 +227,7 @@ impl fmt::Display for BitRate {
 }
 
 /// A physical length, stored in millimetres.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Length(u64);
 
 impl Length {
@@ -299,7 +298,7 @@ impl fmt::Display for Length {
 }
 
 /// Electrical power, stored in milliwatts.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Power(u64);
 
 impl Power {
@@ -397,7 +396,7 @@ impl fmt::Display for Power {
 }
 
 /// Electrical energy, stored in picojoules.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Energy(u64);
 
 impl Energy {

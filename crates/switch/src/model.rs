@@ -22,10 +22,9 @@ use crate::packet::CUT_THROUGH_HEADER;
 use rackfabric_phy::Link;
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{BitRate, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// Forwarding discipline of a switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SwitchKind {
     /// Forwarding starts once the header is in.
     #[default]
@@ -35,7 +34,7 @@ pub enum SwitchKind {
 }
 
 /// A per-hop switch latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchModel {
     /// Forwarding discipline.
     pub kind: SwitchKind,

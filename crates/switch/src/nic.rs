@@ -9,10 +9,9 @@ use crate::queue::{EgressQueue, EnqueueOutcome};
 use rackfabric_sim::time::SimTime;
 use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_topo::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A host network interface with an injection queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Nic {
     /// The node this NIC belongs to.
     pub node: NodeId,

@@ -3,14 +3,13 @@
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::Bytes;
 use rackfabric_topo::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 /// Identifier of a flow (a transfer between one source and one destination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 /// Standard Ethernet maximum transmission unit used throughout the
@@ -23,7 +22,7 @@ pub const MIN_FRAME: Bytes = Bytes::new(64);
 pub const CUT_THROUGH_HEADER: Bytes = Bytes::new(64);
 
 /// A packet in flight through the fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Unique id.
     pub id: PacketId,
@@ -75,7 +74,7 @@ impl Packet {
 
 /// Where a delivered packet's latency was spent, the decomposition plotted in
 /// the paper's Figure 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     /// Serialization onto links (sender NIC plus store-and-forward hops).
     pub serialization: SimDuration,

@@ -10,10 +10,9 @@ use crate::packet::Packet;
 use rackfabric_sim::stats::TimeWeighted;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// The result of offering a packet to an egress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueOutcome {
     /// The packet was accepted; it will finish transmitting at the instant
     /// given, after waiting `queueing` behind earlier packets and taking
@@ -51,7 +50,7 @@ pub struct TrainAdmission {
 }
 
 /// An egress port queue with tail-drop and ECN marking.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EgressQueue {
     /// Buffer size in bytes (tail drop beyond this).
     pub buffer: Bytes,

@@ -6,11 +6,10 @@
 //! rewrites when it reconfigures the fabric.
 
 use rackfabric_phy::LinkId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Index of a node (sled) in the rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -25,7 +24,7 @@ impl NodeId {
 }
 
 /// One undirected adjacency: neighbour node and the physical link used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Adjacency {
     /// The neighbouring node.
     pub neighbor: NodeId,
@@ -34,7 +33,7 @@ pub struct Adjacency {
 }
 
 /// An undirected multigraph of nodes connected by physical links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     node_count: usize,
     adjacency: HashMap<NodeId, Vec<Adjacency>>,

@@ -9,11 +9,10 @@
 
 use crate::graph::NodeId;
 use crate::spec::{EdgeSpec, TopologySpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One change required to move from the current spec to the target spec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeChange {
     /// A new edge must be created between the pair with this many lanes.
     Add {
@@ -39,7 +38,7 @@ pub enum EdgeChange {
 }
 
 /// The full difference between two topology specs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpecDiff {
     /// All required changes, in a deterministic order (removals, then
     /// re-lanings, then additions — freeing lanes before they are consumed).

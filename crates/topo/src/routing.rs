@@ -24,12 +24,11 @@
 use crate::graph::{NodeId, Topology};
 use crate::spec::{TopologyKind, TopologySpec};
 use rackfabric_phy::LinkId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A route: the sequence of links to traverse plus the node sequence
 /// (one node more than links).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Visited nodes, starting with the source and ending with the
     /// destination.
@@ -69,7 +68,7 @@ impl Route {
 }
 
 /// Which algorithm a fabric uses to pick paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingAlgorithm {
     /// Minimum hop count (BFS).
     #[default]

@@ -13,10 +13,9 @@ use crate::graph::{NodeId, Topology};
 use rackfabric_phy::media::{Media, MediaKind};
 use rackfabric_phy::PhyState;
 use rackfabric_sim::units::{BitRate, Length};
-use serde::{Deserialize, Serialize};
 
 /// The named topology families the builders can generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// A 1-D chain (used for the Figure-1 hop-count sweep).
     Line,
@@ -46,7 +45,7 @@ pub enum TopologyKind {
 /// the intra-rack subgraph (see [`TopologySpec::rack_of`]), shard partitions
 /// align to rack boundaries, and therefore every partition cut link is
 /// inter-rack by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkClass {
     /// A cable inside one rack (sled-to-sled backplane or in-rack fibre).
     IntraRack,
@@ -55,7 +54,7 @@ pub enum LinkClass {
 }
 
 /// One desired edge of the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeSpec {
     /// First endpoint.
     pub a: NodeId,
@@ -87,7 +86,7 @@ impl EdgeSpec {
 }
 
 /// A full topology description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Human-readable name (e.g. `"grid-4x4-2lane"`).
     pub name: String,

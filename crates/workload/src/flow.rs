@@ -4,15 +4,14 @@ use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::Bytes;
 use rackfabric_topo::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a workload flow (distinct from the switch-layer `FlowId`
 /// only in that this one is assigned by the generator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkloadFlowId(pub u64);
 
 /// One transfer the workload asks the fabric to carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
     /// Generator-assigned id.
     pub id: WorkloadFlowId,
@@ -35,7 +34,7 @@ impl Flow {
 
 /// Flow-size distributions observed in data-centre measurement studies,
 /// parameterised to rack-scale transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlowSizeDistribution {
     /// Every flow has the same size.
     Fixed(Bytes),
@@ -127,7 +126,7 @@ impl FlowSizeDistribution {
 }
 
 /// When flows arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Every flow starts at the same instant (barrier workloads).
     AllAtOnce(SimTime),

@@ -10,10 +10,9 @@ use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::time::SimTime;
 use rackfabric_sim::units::Bytes;
 use rackfabric_topo::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A named traffic pattern, for experiment configuration files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficPattern {
     /// All-to-all shuffle with a barrier.
     MapReduce,
@@ -60,7 +59,7 @@ fn make_flows(
 
 /// The paper's motivating workload: `mappers x reducers` all-to-all transfer
 /// starting simultaneously (the shuffle barrier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapReduceShuffle {
     /// Nodes acting as mappers (senders).
     pub mappers: Vec<NodeId>,
@@ -116,7 +115,7 @@ impl Workload for MapReduceShuffle {
 }
 
 /// Many senders converging on one receiver at the same instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncastWorkload {
     /// The receiving node.
     pub sink: NodeId,
@@ -150,7 +149,7 @@ impl Workload for IncastWorkload {
 
 /// A random permutation: each node sends one flow to a distinct node (no
 /// fixed points), the classic stress test for oblivious routing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PermutationWorkload {
     /// Number of nodes.
     pub nodes: usize,
@@ -176,7 +175,7 @@ impl Workload for PermutationWorkload {
 }
 
 /// Uniform random source/destination pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniformWorkload {
     /// Number of nodes.
     pub nodes: usize,
@@ -208,7 +207,7 @@ impl Workload for UniformWorkload {
 
 /// Zipf-skewed destination selection: a small set of sleds (e.g. a popular
 /// in-memory store) receives most of the traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotspotWorkload {
     /// Number of nodes.
     pub nodes: usize,
@@ -242,7 +241,7 @@ impl Workload for HotspotWorkload {
 
 /// Disaggregated-storage traffic: compute sleds issue reads (storage → compute)
 /// and writes (compute → storage) against NVMe sleds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageWorkload {
     /// Compute sleds.
     pub compute_nodes: Vec<NodeId>,
