@@ -65,6 +65,7 @@ pub mod emit;
 pub mod key;
 pub mod lock;
 pub mod report;
+mod spec_codec;
 pub mod store;
 
 /// Commonly used types, re-exported for convenience.
