@@ -24,8 +24,13 @@
 //!   event. Per-packet latency stays exact (see
 //!   [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
 //! * Routes are served from an epoch-invalidated
-//!   [`RouteCache`](rackfabric_topo::cache::RouteCache); BFS or Dijkstra
-//!   runs once per `(src, dst)` pair per epoch instead of once per packet.
+//!   [`RouteCache`](rackfabric_topo::cache::RouteCache) instead of being
+//!   computed per packet. For shortest-hop and min-cost routing, BFS or
+//!   Dijkstra runs once per *source* per epoch, building a predecessor tree
+//!   on the source's first lookup; each `(src, dst)` route is built from
+//!   that tree on its own first lookup. The other policies cache one route
+//!   per `(src, dst)`, keyed by flow too for the per-flow ones (ECMP,
+//!   Valiant, adaptive).
 
 use crate::controller::CrcConfig;
 use rackfabric_phy::{PhyState, PlpTiming};

@@ -24,7 +24,7 @@
 //!   control epoch: the coordinator merges per-shard telemetry (byte
 //!   counters summed per link in dense order, port occupancies from their
 //!   owning shards), prices and decides, and broadcasts the results — link
-//!   constants, the bypass table, price-derived cost maps, and
+//!   constants, the bypass table, one shared vector of link prices, and
 //!   **reconfiguration fences that span shards** (a fence on a cut link
 //!   pauses traffic on both sides) — back to every shard.
 //!
@@ -222,7 +222,9 @@ pub struct ShardFabric {
     /// Switched wire bytes per link this epoch (this shard's contribution).
     wire_epoch: Vec<u64>,
     route_cache: RouteCache,
-    cost_map: HashMap<LinkId, f64>,
+    /// The CRC's link prices of this epoch as a [`routing::cost_vector`]
+    /// (unpriced links cost 1.0), one vector shared by every shard.
+    prices: Arc<[f64]>,
     metrics: FabricMetrics,
     own_flows: usize,
     completed_flows: usize,
@@ -246,25 +248,17 @@ impl ShardFabric {
 
     /// The interned route for `(src, dst)` from this shard's epoch cache.
     ///
-    /// A miss on the single-path algorithms (shortest hop, min cost) runs
-    /// one whole single-source tree and pre-populates the cache for **every**
-    /// destination of `src`, so one BFS/Dijkstra per source per epoch covers
-    /// all-to-all traffic. The per-pair algorithms compute and cache one
-    /// route per miss.
+    /// The single-path algorithms (shortest hop, min cost) keep one
+    /// BFS/Dijkstra tree per source per epoch, built on the source's first
+    /// lookup, and build each `(src, dst)` route from it on that pair's
+    /// first lookup — see [`RouteCache::tree_route`]. The per-pair
+    /// algorithms compute and cache one route per `(src, dst, selector)`.
     fn cached_route(
         &mut self,
         src: NodeId,
         dst: NodeId,
         flow_seq: u64,
     ) -> Option<Arc<InternedRoute>> {
-        let selector = if self.config.routing.per_flow() {
-            flow_seq
-        } else {
-            0
-        };
-        if let Some(cached) = self.route_cache.lookup(src, dst, selector) {
-            return cached;
-        }
         let SharedState {
             topo,
             arena,
@@ -272,39 +266,36 @@ impl ShardFabric {
             racks,
             ..
         } = &*self.shared;
-        let cost_map = &self.cost_map;
-        let per_pair = match self.config.routing {
-            RoutingAlgorithm::ShortestHop | RoutingAlgorithm::MinCost => {
-                let tree = match self.config.routing {
-                    RoutingAlgorithm::ShortestHop => routing::shortest_path_tree(topo, src),
-                    _ => routing::dijkstra_tree(topo, src, cost_map, 1.0),
-                };
-                let mut answer = None;
-                for node in topo.nodes() {
-                    let interned = routing::route_from_tree(src, node, &tree)
+        let cost = routing::dense_cost(&self.prices, 1.0);
+        let algorithm = self.config.routing;
+        match algorithm {
+            RoutingAlgorithm::ShortestHop => self
+                .route_cache
+                .tree_route(src, dst, arena, || routing::shortest_path_tree(topo, src)),
+            RoutingAlgorithm::MinCost => self.route_cache.tree_route(src, dst, arena, || {
+                routing::dijkstra_tree_with(topo, src, cost)
+            }),
+            _ => {
+                let selector = if algorithm.per_flow() { flow_seq } else { 0 };
+                self.route_cache.get_or_compute(src, dst, selector, || {
+                    let route = match algorithm {
+                        RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
+                        RoutingAlgorithm::Valiant => {
+                            routing::valiant_route(topo, racks, src, dst, flow_seq)
+                        }
+                        RoutingAlgorithm::Adaptive => {
+                            routing::adaptive_route(topo, racks, src, dst, flow_seq, cost)
+                        }
+                        // Dimension-ordered; shortest hop off the mesh.
+                        _ => routing::dimension_ordered(spec, topo, src, dst)
+                            .or_else(|| routing::shortest_path(topo, src, dst)),
+                    };
+                    route
                         .and_then(|r| InternedRoute::intern(r, arena))
-                        .map(Arc::new);
-                    if node == dst {
-                        answer = interned.clone();
-                    }
-                    self.route_cache.insert(src, node, selector, interned);
-                }
-                return answer;
+                        .map(Arc::new)
+                })
             }
-            RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
-            RoutingAlgorithm::Valiant => routing::valiant_route(topo, racks, src, dst, flow_seq),
-            RoutingAlgorithm::Adaptive => {
-                routing::adaptive_route(topo, racks, src, dst, flow_seq, cost_map, 1.0)
-            }
-            RoutingAlgorithm::DimensionOrdered => routing::dimension_ordered(spec, topo, src, dst)
-                .or_else(|| routing::shortest_path(topo, src, dst)),
-        };
-        let computed = per_pair
-            .and_then(|r| InternedRoute::intern(r, arena))
-            .map(Arc::new);
-        self.route_cache
-            .insert(src, dst, selector, computed.clone());
-        computed
+        }
     }
 
     /// Arms the flow's single injector chain at `at` (no-op when armed).
@@ -631,6 +622,7 @@ impl ShardFabric {
         self.fences = fences;
         self.shared = shared;
         self.route_cache.bump_epoch();
+        self.route_cache.drop_trees();
     }
 }
 
@@ -802,9 +794,10 @@ impl Coordinator {
         // price snapshot to every shard and invalidate their caches together,
         // so per-shard routing decisions stay shard-count-independent.
         if self.config.routing.cost_aware() {
-            let cost_map = self.price_book.as_cost_map();
+            let prices: Arc<[f64]> =
+                routing::cost_vector(&self.price_book.as_cost_map(), 1.0).into();
             for shard in shards.models_mut() {
-                shard.cost_map = cost_map.clone();
+                shard.prices = prices.clone();
                 shard.route_cache.bump_epoch();
             }
         }
@@ -1053,7 +1046,7 @@ impl ShardedFabric {
                     bytes_epoch: vec![0; shared.arena.len()],
                     wire_epoch: vec![0; shared.arena.len()],
                     route_cache: RouteCache::new(),
-                    cost_map: HashMap::new(),
+                    prices: Arc::from([]),
                     metrics: FabricMetrics::default(),
                     own_flows,
                     completed_flows: 0,

@@ -355,4 +355,15 @@ mod tests {
             assert!(Event::from_line(bad).is_none(), "accepted {bad:?}");
         }
     }
+
+    #[test]
+    fn deeply_nested_line_decodes_to_none_on_a_default_stack() {
+        // A client line of 200 000 `[`s: the parser must refuse it with an
+        // error, not overflow a connection thread's default stack.
+        let hostile = "[".repeat(200_000);
+        let decoded = std::thread::spawn(move || Request::from_line(&hostile).is_none())
+            .join()
+            .expect("decoding thread must not die");
+        assert!(decoded);
+    }
 }

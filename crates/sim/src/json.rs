@@ -182,11 +182,18 @@ fn write_canonical(value: &JsonValue, out: &mut String) {
     }
 }
 
-/// Parses a complete JSON document.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile line of `[`s
+/// overflows the stack and aborts the process instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document. Documents nested deeper than
+/// [`MAX_DEPTH`] are rejected.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -200,6 +207,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -231,8 +240,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -240,6 +249,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -419,6 +442,26 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!("{{\"a\":{}}}", at_limit);
+        let err = parse(&past).unwrap_err();
+        assert!(err.message.contains("MAX_DEPTH"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default (small) stack, where unbounded
+        // recursion over this input aborts the whole process.
+        let hostile = "[".repeat(200_000);
+        let result = std::thread::spawn(move || parse(&hostile).is_err())
+            .join()
+            .expect("parser thread must not die");
+        assert!(result);
     }
 
     #[test]

@@ -5,17 +5,27 @@
 //! *topology epoch* (the interval between reconfigurations, and between
 //! price updates for cost-aware routing) the route for a `(src, dst)` pair
 //! is a pure function, so it can be computed once, interned against the
-//! [`LinkArena`], and reused by every subsequent
-//! train of that pair.
+//! [`LinkArena`], and reused by every subsequent train of that pair.
 //!
-//! Invalidation is by epoch counter: bumping the epoch makes every cached
-//! entry stale without touching the map (stale entries are overwritten on
-//! next access), so invalidation is O(1) no matter how many pairs are
-//! cached.
+//! A [`RouteCache`] stores answers in one of two shapes, by algorithm:
+//!
+//! * **Per-source trees** ([`RouteCache::tree_route`]) for the single-path
+//!   algorithms (shortest hop, min cost). The first lookup of a source in an
+//!   epoch builds that source's whole predecessor tree — one BFS/Dijkstra
+//!   covers every destination. Each `(src, dst)` route is then built from
+//!   the stored tree on its own first lookup, so an epoch pays only for the
+//!   routes its traffic uses.
+//! * **Keyed routes** ([`RouteCache::get_or_compute`]) for the per-pair
+//!   algorithms (ECMP, Valiant, adaptive, dimension-ordered), one entry per
+//!   `(src, dst, selector)`.
+//!
+//! Invalidation is by epoch counter: bumping the epoch makes every tree and
+//! entry stale without touching them (stale ones are overwritten on next
+//! access), so invalidation is O(1) no matter how much is cached.
 
 use crate::arena::{LinkArena, LinkIdx};
 use crate::graph::NodeId;
-use crate::routing::Route;
+use crate::routing::{route_from_tree, PredecessorTree, Route};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -74,14 +84,31 @@ impl RouteCacheStats {
 /// routes that legitimately differ per flow on the same pair (ECMP).
 type Key = (NodeId, NodeId, u64);
 
-/// An epoch-tagged cache of interned routes.
+/// A cached answer: a route, or "no route exists right now".
+type Answer = Option<Arc<InternedRoute>>;
+
+/// One source's predecessor tree and the routes built from it so far.
+#[derive(Debug)]
+struct TreeSlot {
+    /// The epoch the tree was built in; stale once the cache moves on.
+    epoch: u64,
+    tree: PredecessorTree,
+    /// `routes[dst]`: `None` until `(src, dst)` is first looked up.
+    routes: Vec<Option<Answer>>,
+}
+
+/// An epoch-tagged cache of interned routes: per-source trees for the
+/// single-path algorithms, keyed routes for the per-pair ones (see the
+/// module docs). One cache serves one routing algorithm.
 ///
-/// `None` values are cached too: "no route exists right now" is just as
-/// expensive to recompute as a route.
+/// "No route" answers are cached too: they are just as expensive to
+/// recompute as a route.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     epoch: u64,
-    entries: HashMap<Key, (u64, Option<Arc<InternedRoute>>)>,
+    entries: HashMap<Key, (u64, Answer)>,
+    /// `trees[src]`, grown on demand; `None` until `src` is first looked up.
+    trees: Vec<Option<TreeSlot>>,
     stats: RouteCacheStats,
 }
 
@@ -104,15 +131,71 @@ impl RouteCache {
         self.epoch += 1;
     }
 
-    /// Looks up `(src, dst, selector)` in the current epoch. The outer
-    /// `Option` is hit/miss; the inner one is the cached answer (which may
-    /// be "no route"). Counts towards the hit/miss statistics.
-    pub fn lookup(
+    /// Frees every stored tree (they are stale after [`bump_epoch`] anyway).
+    /// Call when the topology itself is replaced, so trees sized for the old
+    /// node set are not kept alive.
+    ///
+    /// [`bump_epoch`]: RouteCache::bump_epoch
+    pub fn drop_trees(&mut self) {
+        self.trees = Vec::new();
+    }
+
+    /// The route `src -> dst` out of `src`'s predecessor tree for this
+    /// epoch, interned against `arena`.
+    ///
+    /// The first lookup of `src` in an epoch is a miss: it calls `build` for
+    /// the tree (which must cover the whole node set) and keeps it. Every
+    /// other lookup of `src` in the epoch is a hit, including the first one
+    /// of each destination, whose route is built from the stored tree then
+    /// and kept. So an epoch counts one miss per source looked up, exactly
+    /// as if the miss had filled every destination at once.
+    pub fn tree_route(
         &mut self,
         src: NodeId,
         dst: NodeId,
-        selector: u64,
-    ) -> Option<Option<Arc<InternedRoute>>> {
+        arena: &LinkArena,
+        build: impl FnOnce() -> PredecessorTree,
+    ) -> Answer {
+        if self.trees.len() <= src.index() {
+            self.trees.resize_with(src.index() + 1, || None);
+        }
+        let epoch = self.epoch;
+        let slot = match &mut self.trees[src.index()] {
+            Some(slot) if slot.epoch == epoch => {
+                self.stats.hits += 1;
+                slot
+            }
+            stale => {
+                self.stats.misses += 1;
+                let tree = build();
+                let mut routes = stale.take().map(|s| s.routes).unwrap_or_default();
+                routes.clear();
+                routes.resize(tree.len(), None);
+                stale.insert(TreeSlot {
+                    epoch,
+                    tree,
+                    routes,
+                })
+            }
+        };
+        let build_route = |tree: &PredecessorTree| {
+            route_from_tree(src, dst, tree)
+                .and_then(|r| InternedRoute::intern(r, arena))
+                .map(Arc::new)
+        };
+        match slot.routes.get_mut(dst.index()) {
+            Some(Some(cached)) => cached.clone(),
+            Some(unbuilt) => unbuilt.insert(build_route(&slot.tree)).clone(),
+            // A destination outside the tree's node set: nothing to keep.
+            None => build_route(&slot.tree),
+        }
+    }
+
+    /// Looks up `(src, dst, selector)` among the keyed routes of the current
+    /// epoch. The outer `Option` is hit/miss; the inner one is the cached
+    /// answer (which may be "no route"). Counts towards the hit/miss
+    /// statistics.
+    pub fn lookup(&mut self, src: NodeId, dst: NodeId, selector: u64) -> Option<Answer> {
         if let Some((epoch, cached)) = self.entries.get(&(src, dst, selector)) {
             if *epoch == self.epoch {
                 self.stats.hits += 1;
@@ -123,28 +206,22 @@ impl RouteCache {
         None
     }
 
-    /// Stores an answer for `(src, dst, selector)` at the current epoch.
-    /// Used to pre-populate whole single-source route trees after one miss.
-    pub fn insert(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        selector: u64,
-        value: Option<Arc<InternedRoute>>,
-    ) {
+    /// Stores a keyed answer for `(src, dst, selector)` at the current
+    /// epoch.
+    pub fn insert(&mut self, src: NodeId, dst: NodeId, selector: u64, value: Answer) {
         self.entries
             .insert((src, dst, selector), (self.epoch, value));
     }
 
-    /// Looks up the route for `(src, dst, selector)` in the current epoch,
-    /// computing and caching it via `compute` on a miss.
+    /// Looks up the keyed route for `(src, dst, selector)` in the current
+    /// epoch, computing and caching it via `compute` on a miss.
     pub fn get_or_compute(
         &mut self,
         src: NodeId,
         dst: NodeId,
         selector: u64,
-        compute: impl FnOnce() -> Option<Arc<InternedRoute>>,
-    ) -> Option<Arc<InternedRoute>> {
+        compute: impl FnOnce() -> Answer,
+    ) -> Answer {
         match self.lookup(src, dst, selector) {
             Some(cached) => cached,
             None => {
@@ -160,28 +237,12 @@ impl RouteCache {
     pub fn stats(&self) -> RouteCacheStats {
         self.stats
     }
-
-    /// Number of stored entries (live and stale).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every entry and resets the counters (the epoch is retained).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.stats = RouteCacheStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::shortest_path;
+    use crate::routing::{shortest_path, shortest_path_tree};
     use crate::spec::TopologySpec;
     use rackfabric_phy::PhyState;
     use rackfabric_sim::units::BitRate;
@@ -242,6 +303,63 @@ mod tests {
             assert!(r.is_none());
         }
         assert_eq!(computes, 1, "'no route' is cached like any other answer");
+    }
+
+    #[test]
+    fn trees_miss_once_per_source_and_build_routes_on_first_use() {
+        let (topo, arena) = setup();
+        let mut cache = RouteCache::new();
+        let mut builds = 0;
+        for _ in 0..2 {
+            for dst in topo.nodes() {
+                let r = cache.tree_route(NodeId(0), dst, &arena, || {
+                    builds += 1;
+                    shortest_path_tree(&topo, NodeId(0))
+                });
+                let eager = shortest_path(&topo, NodeId(0), dst)
+                    .and_then(|r| InternedRoute::intern(r, &arena));
+                assert_eq!(r.as_deref(), eager.as_ref());
+            }
+        }
+        assert_eq!(builds, 1, "one tree serves every destination of the epoch");
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 17);
+
+        // A second source has a slot of its own.
+        cache.tree_route(NodeId(4), NodeId(0), &arena, || {
+            builds += 1;
+            shortest_path_tree(&topo, NodeId(4))
+        });
+        assert_eq!((builds, cache.stats().misses), (2, 2));
+
+        cache.bump_epoch();
+        let again = cache.tree_route(NodeId(0), NodeId(8), &arena, || {
+            builds += 1;
+            shortest_path_tree(&topo, NodeId(0))
+        });
+        assert_eq!(again.unwrap().hops(), 4);
+        assert_eq!(builds, 3, "bumping the epoch invalidates the tree");
+
+        cache.drop_trees();
+        cache.tree_route(NodeId(0), NodeId(8), &arena, || {
+            builds += 1;
+            shortest_path_tree(&topo, NodeId(0))
+        });
+        assert_eq!(builds, 4, "dropped trees are rebuilt");
+    }
+
+    #[test]
+    fn tree_routes_outside_the_node_set_are_none() {
+        let (topo, arena) = setup();
+        let mut cache = RouteCache::new();
+        let tree = || shortest_path_tree(&topo, NodeId(0));
+        assert!(cache
+            .tree_route(NodeId(0), NodeId(99), &arena, tree)
+            .is_none());
+        assert!(cache
+            .tree_route(NodeId(0), NodeId(99), &arena, tree)
+            .is_none());
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub struct Adjacency {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     node_count: usize,
-    adjacency: HashMap<NodeId, Vec<Adjacency>>,
+    /// `adjacency[n]`: the edges of node `n`, kept sorted by
+    /// `(neighbor, link)` so [`Topology::neighbors`] is a plain borrow and
+    /// BFS/Dijkstra tie-breaking is deterministic.
+    adjacency: Vec<Vec<Adjacency>>,
     /// Reverse index: which node pair a link connects.
     link_endpoints: HashMap<LinkId, (NodeId, NodeId)>,
 }
@@ -46,9 +49,17 @@ impl Topology {
     pub fn new(node_count: usize) -> Self {
         Topology {
             node_count,
-            adjacency: HashMap::new(),
+            adjacency: vec![Vec::new(); node_count],
             link_endpoints: HashMap::new(),
         }
+    }
+
+    /// Inserts `adj` into node `n`'s list at its sorted position.
+    fn insert_adjacency(&mut self, n: NodeId, adj: Adjacency) {
+        let list = &mut self.adjacency[n.index()];
+        let key = (adj.neighbor, adj.link);
+        let at = list.partition_point(|a| (a.neighbor, a.link) < key);
+        list.insert(at, adj);
     }
 
     /// Number of nodes.
@@ -79,40 +90,30 @@ impl Topology {
             !self.link_endpoints.contains_key(&link),
             "link {link:?} already in topology"
         );
-        self.adjacency
-            .entry(a)
-            .or_default()
-            .push(Adjacency { neighbor: b, link });
-        self.adjacency
-            .entry(b)
-            .or_default()
-            .push(Adjacency { neighbor: a, link });
+        self.insert_adjacency(a, Adjacency { neighbor: b, link });
+        self.insert_adjacency(b, Adjacency { neighbor: a, link });
         self.link_endpoints.insert(link, (a, b));
     }
 
     /// Removes the edge realised by `link`, returning its endpoints.
     pub fn remove_edge(&mut self, link: LinkId) -> Option<(NodeId, NodeId)> {
         let (a, b) = self.link_endpoints.remove(&link)?;
-        if let Some(v) = self.adjacency.get_mut(&a) {
-            v.retain(|adj| adj.link != link);
-        }
-        if let Some(v) = self.adjacency.get_mut(&b) {
-            v.retain(|adj| adj.link != link);
+        for n in [a, b] {
+            self.adjacency[n.index()].retain(|adj| adj.link != link);
         }
         Some((a, b))
     }
 
     /// Neighbours of `n` (with the links reaching them), sorted by neighbour
-    /// id then link id for determinism.
-    pub fn neighbors(&self, n: NodeId) -> Vec<Adjacency> {
-        let mut v = self.adjacency.get(&n).cloned().unwrap_or_default();
-        v.sort_by_key(|adj| (adj.neighbor, adj.link));
-        v
+    /// id then link id for determinism. Empty for a node out of range.
+    #[inline]
+    pub fn neighbors(&self, n: NodeId) -> &[Adjacency] {
+        self.adjacency.get(n.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Degree of node `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency.get(&n).map_or(0, |v| v.len())
+        self.neighbors(n).len()
     }
 
     /// The endpoints of `link`, if it is part of the topology.
@@ -122,18 +123,11 @@ impl Topology {
 
     /// All links between `a` and `b` (parallel links possible), sorted.
     pub fn links_between(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        let mut v: Vec<LinkId> = self
-            .adjacency
-            .get(&a)
-            .map(|adjs| {
-                adjs.iter()
-                    .filter(|adj| adj.neighbor == b)
-                    .map(|adj| adj.link)
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort();
-        v
+        self.neighbors(a)
+            .iter()
+            .filter(|adj| adj.neighbor == b)
+            .map(|adj| adj.link)
+            .collect()
     }
 
     /// All link ids, sorted.

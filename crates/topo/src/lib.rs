@@ -23,7 +23,8 @@
 //!   built once per topology epoch so per-packet state lives in plain
 //!   vectors instead of hash maps.
 //! * [`cache`] — the epoch-invalidated [`RouteCache`] that amortises route
-//!   computation across every train of a `(src, dst)` pair.
+//!   computation across every train of a `(src, dst)` pair: one tree per
+//!   source per epoch, each route built on its first use.
 //! * [`partition`] — node-to-shard rack grouping and the per-epoch cut-edge
 //!   metadata (which links cross shards) the sharded engine synchronises on.
 
@@ -40,5 +41,5 @@ pub use cache::{InternedRoute, RouteCache, RouteCacheStats};
 pub use graph::{NodeId, Topology};
 pub use partition::FabricPartition;
 pub use reconfig::{EdgeChange, SpecDiff};
-pub use routing::{dijkstra, ecmp_paths, shortest_path, Route, RoutingAlgorithm};
+pub use routing::{dijkstra_tree, ecmp_paths, shortest_path, Route, RoutingAlgorithm};
 pub use spec::{EdgeSpec, TopologyKind, TopologySpec};

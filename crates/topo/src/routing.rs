@@ -5,8 +5,9 @@
 //!
 //! * [`shortest_path`] — plain BFS by hop count (the static baseline; the
 //!   **minimal** policy of a dragonfly).
-//! * [`dijkstra`] — minimum-cost path under an arbitrary per-link cost map
-//!   (what the CRC uses, with its price tags as costs).
+//! * [`dijkstra_tree`] — minimum-cost paths from one source under a per-link
+//!   cost (what the CRC uses, with its price tags as costs); the cost is a
+//!   map, a dense vector ([`cost_vector`]) or any function of the link.
 //! * [`ecmp_paths`] — all minimum-hop paths, for equal-cost multi-path
 //!   spreading in the fat-tree baseline.
 //! * [`dimension_ordered`] — X-then-Y routing on grid/torus specs, the
@@ -153,14 +154,30 @@ pub fn shortest_path_tree(topo: &Topology, src: NodeId) -> PredecessorTree {
     prev
 }
 
-/// Dijkstra minimum-cost *tree* from `src` under `costs`, with the same
-/// deterministic tie-breaking as [`dijkstra`]. Links with non-finite or
-/// negative cost are unusable.
+/// Dijkstra minimum-cost *tree* from `src` under `costs` (links missing
+/// from the map cost `default_cost`). Links with non-finite or negative cost
+/// are unusable. See [`dijkstra_tree_with`].
 pub fn dijkstra_tree(
     topo: &Topology,
     src: NodeId,
     costs: &HashMap<LinkId, f64>,
     default_cost: f64,
+) -> PredecessorTree {
+    dijkstra_tree_with(topo, src, |link| {
+        costs.get(&link).copied().unwrap_or(default_cost)
+    })
+}
+
+/// Dijkstra minimum-cost *tree* from `src`, where `price(link)` is each
+/// link's cost. Links with non-finite or negative cost are unusable. Deterministic:
+/// equal-cost heap entries pop in node-id order, a node keeps the first
+/// parent (in pop order, then `(neighbor, link)` adjacency order) that
+/// reached it at its final cost, and path costs are summed source-outwards,
+/// so equal costs give equal trees however they are stored.
+pub fn dijkstra_tree_with(
+    topo: &Topology,
+    src: NodeId,
+    price: impl Fn(LinkId) -> f64,
 ) -> PredecessorTree {
     #[derive(PartialEq)]
     struct Item {
@@ -196,7 +213,7 @@ pub fn dijkstra_tree(
             continue;
         }
         for adj in topo.neighbors(node) {
-            let link_cost = costs.get(&adj.link).copied().unwrap_or(default_cost);
+            let link_cost = price(adj.link);
             if !link_cost.is_finite() || link_cost < 0.0 {
                 continue;
             }
@@ -212,6 +229,32 @@ pub fn dijkstra_tree(
         }
     }
     prev
+}
+
+/// `costs` as a dense vector indexed by the raw link id: slot `i` holds the
+/// cost of `LinkId(i)`, `default_cost` where the map has none. Link ids are
+/// allocated densely from zero, so the vector is about as long as the map.
+/// Read it back with [`dense_cost`] and the same default.
+pub fn cost_vector(costs: &HashMap<LinkId, f64>, default_cost: f64) -> Vec<f64> {
+    let len = costs.keys().map(|l| l.0 as usize + 1).max().unwrap_or(0);
+    let mut dense = vec![default_cost; len];
+    for (link, &c) in costs {
+        dense[link.0 as usize] = c;
+    }
+    dense
+}
+
+/// A link cost read from a [`cost_vector`], `default_cost` for ids past its
+/// end: the same cost the map the vector was built from gives with that
+/// default.
+pub fn dense_cost(costs: &[f64], default_cost: f64) -> impl Fn(LinkId) -> f64 + '_ {
+    move |link| {
+        usize::try_from(link.0)
+            .ok()
+            .and_then(|i| costs.get(i))
+            .copied()
+            .unwrap_or(default_cost)
+    }
 }
 
 /// Reconstructs the route from `src` to `dst` out of a predecessor tree.
@@ -250,75 +293,6 @@ fn rebuild(src: NodeId, dst: NodeId, prev: &HashMap<NodeId, (NodeId, LinkId)>) -
     Route { nodes, links }
 }
 
-/// Dijkstra minimum-cost path. Links missing from `costs` get `default_cost`;
-/// links with non-finite or negative cost are treated as unusable.
-pub fn dijkstra(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    costs: &HashMap<LinkId, f64>,
-    default_cost: f64,
-) -> Option<Route> {
-    if src == dst {
-        return Some(Route::trivial(src));
-    }
-    #[derive(PartialEq)]
-    struct Item {
-        cost: f64,
-        node: NodeId,
-    }
-    impl Eq for Item {}
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap on cost, then node id for determinism.
-            other
-                .cost
-                .partial_cmp(&self.cost)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut dist: HashMap<NodeId, f64> = HashMap::new();
-    let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(src, 0.0);
-    heap.push(Item {
-        cost: 0.0,
-        node: src,
-    });
-
-    while let Some(Item { cost, node }) = heap.pop() {
-        if node == dst {
-            return Some(rebuild(src, dst, &prev));
-        }
-        if cost > *dist.get(&node).unwrap_or(&f64::INFINITY) {
-            continue;
-        }
-        for adj in topo.neighbors(node) {
-            let link_cost = costs.get(&adj.link).copied().unwrap_or(default_cost);
-            if !link_cost.is_finite() || link_cost < 0.0 {
-                continue;
-            }
-            let next = cost + link_cost;
-            if next < *dist.get(&adj.neighbor).unwrap_or(&f64::INFINITY) {
-                dist.insert(adj.neighbor, next);
-                prev.insert(adj.neighbor, (node, adj.link));
-                heap.push(Item {
-                    cost: next,
-                    node: adj.neighbor,
-                });
-            }
-        }
-    }
-    None
-}
-
 /// Every minimum-hop path from `src` to `dst`, capped at `max_paths`
 /// (enumeration is exponential in pathological graphs). Paths are returned in
 /// a deterministic order.
@@ -345,7 +319,7 @@ pub fn ecmp_paths(topo: &Topology, src: NodeId, dst: NodeId, max_paths: usize) -
         // Deterministic order: iterate neighbours sorted (reverse for stack).
         let mut nexts: Vec<_> = topo
             .neighbors(node)
-            .into_iter()
+            .iter()
             .filter(|adj| {
                 dist_to_dst
                     .get(&adj.neighbor)
@@ -478,35 +452,29 @@ fn shortest_path_avoiding(
     None
 }
 
-/// Total cost of a route under `costs` (links absent from the map cost
-/// `default_cost`). Summed in traversal order, so the result is bit-exact
-/// for the same route and map on every shard.
-pub fn route_cost(route: &Route, costs: &HashMap<LinkId, f64>, default_cost: f64) -> f64 {
-    route
-        .links
-        .iter()
-        .map(|l| costs.get(l).copied().unwrap_or(default_cost))
-        .sum()
+/// Total cost of a route, `cost(link)` per link. Summed in traversal order,
+/// so the result is bit-exact for the same route and costs on every shard.
+pub fn route_cost(route: &Route, cost: impl Fn(LinkId) -> f64) -> f64 {
+    route.links.iter().map(|&l| cost(l)).sum()
 }
 
 /// UGAL-style adaptive routing: compares the minimal path against the
-/// flow's Valiant detour under the CRC's current price map and takes the
-/// strictly cheaper one (ties go minimal, so an unpriced fabric routes
-/// minimally — the Valiant path can never win on hop count alone).
+/// flow's Valiant detour under the CRC's current prices (`cost(link)`) and
+/// takes the strictly cheaper one (ties go minimal, so an unpriced fabric
+/// routes minimally — the Valiant path can never win on hop count alone).
 pub fn adaptive_route(
     topo: &Topology,
     racks: &[u32],
     src: NodeId,
     dst: NodeId,
     flow_id: u64,
-    costs: &HashMap<LinkId, f64>,
-    default_cost: f64,
+    cost: impl Fn(LinkId) -> f64,
 ) -> Option<Route> {
     let minimal = shortest_path(topo, src, dst)?;
     let Some(valiant) = valiant_route(topo, racks, src, dst, flow_id) else {
         return Some(minimal);
     };
-    if route_cost(&valiant, costs, default_cost) < route_cost(&minimal, costs, default_cost) {
+    if route_cost(&valiant, &cost) < route_cost(&minimal, &cost) {
         Some(valiant)
     } else {
         Some(minimal)
@@ -637,7 +605,8 @@ mod tests {
         let mut costs = HashMap::new();
         // Penalise the first link of the BFS-chosen path heavily.
         costs.insert(cheap.links[0], 100.0);
-        let r = dijkstra(&topo, NodeId(0), NodeId(3), &costs, 1.0).unwrap();
+        let tree = dijkstra_tree(&topo, NodeId(0), &costs, 1.0);
+        let r = route_from_tree(NodeId(0), NodeId(3), &tree).unwrap();
         assert_eq!(r.hops(), 3, "the other way round the ring is still 3 hops");
         assert_ne!(r.links[0], cheap.links[0], "must avoid the priced-up link");
     }
@@ -650,14 +619,16 @@ mod tests {
         for l in topo.links() {
             costs.insert(l, f64::INFINITY);
         }
-        assert!(dijkstra(&topo, NodeId(0), NodeId(2), &costs, 1.0).is_none());
+        let tree = dijkstra_tree(&topo, NodeId(0), &costs, 1.0);
+        assert!(route_from_tree(NodeId(0), NodeId(2), &tree).is_none());
     }
 
     #[test]
     fn dijkstra_prefers_fewer_hops_with_uniform_costs() {
         let spec = TopologySpec::grid(3, 3, 1);
         let topo = build(&spec);
-        let r = dijkstra(&topo, NodeId(0), NodeId(8), &HashMap::new(), 1.0).unwrap();
+        let tree = dijkstra_tree(&topo, NodeId(0), &HashMap::new(), 1.0);
+        let r = route_from_tree(NodeId(0), NodeId(8), &tree).unwrap();
         assert_eq!(r.hops(), 4);
     }
 
@@ -796,7 +767,7 @@ mod tests {
         let minimal = shortest_path(&topo, src, dst).unwrap();
         // Unpriced fabric: every flow routes minimally.
         for flow in 0..8u64 {
-            let r = adaptive_route(&topo, &racks, src, dst, flow, &HashMap::new(), 1.0).unwrap();
+            let r = adaptive_route(&topo, &racks, src, dst, flow, |_| 1.0).unwrap();
             assert_eq!(r, minimal);
         }
         // Price the minimal path's links sky-high: flows whose Valiant
@@ -807,10 +778,11 @@ mod tests {
         }
         let mut switched = false;
         for flow in 0..16u64 {
-            let r = adaptive_route(&topo, &racks, src, dst, flow, &costs, 1.0).unwrap();
+            let cost = |l| costs.get(&l).copied().unwrap_or(1.0);
+            let r = adaptive_route(&topo, &racks, src, dst, flow, cost).unwrap();
             if r != minimal {
                 switched = true;
-                assert!(route_cost(&r, &costs, 1.0) < route_cost(&minimal, &costs, 1.0));
+                assert!(route_cost(&r, cost) < route_cost(&minimal, cost));
             }
         }
         assert!(switched, "congestion pricing must divert some flows");
