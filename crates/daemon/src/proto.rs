@@ -46,6 +46,14 @@ fn as_i64(value: &JsonValue) -> Option<i64> {
     }
 }
 
+/// The longest request line the daemon reads, newline excluded. The largest
+/// canonical request a figure campaign sends (one e10 16×16-torus cell at
+/// paper scale) is ~23 KB and a 1152-host dragonfly spec ~61 KB, so this
+/// leaves ≥ 4× headroom over both. A longer line is answered with an
+/// `error` event and the connection is closed: one newline-less stream can
+/// no longer grow the read buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 256 * 1024;
+
 /// One client request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

@@ -16,7 +16,7 @@
 //! rejection / cancellation counters, and the `daemon.response_ns`
 //! histogram (enqueue-to-completion residence, wall domain).
 
-use crate::proto::{Event, Request};
+use crate::proto::{Event, Request, MAX_REQUEST_LINE};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
 use rackfabric_bench::figures::{figure_defs, FigureKind, Scale};
 use rackfabric_cmd::command::Command;
@@ -28,7 +28,7 @@ use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;
 use rackfabric_sweep::key::job_key;
 use rackfabric_sweep::store::outcome_to_json;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -201,16 +201,37 @@ fn write_event(stream: &mut TcpStream, event: &Event) -> io::Result<()> {
 
 /// One connection: read request lines, answer with event lines. A submit
 /// streams its job's lifecycle (`accepted`, `started`, terminal) before
-/// the next request is read.
+/// the next request is read. A line longer than [`MAX_REQUEST_LINE`] gets
+/// one `error` event and closes the connection.
 fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one exactly at it.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
+        if buf.len() > MAX_REQUEST_LINE {
+            write_event(
+                &mut writer,
+                &Event::Error {
+                    job: None,
+                    reason: "request line too long".to_string(),
+                },
+            )?;
+            return Ok(());
+        }
+        let line = std::str::from_utf8(&buf).ok();
+        if line.is_some_and(|line| line.trim().is_empty()) {
             continue;
         }
-        let Some(request) = Request::from_line(&line) else {
+        let Some(request) = line.and_then(Request::from_line) else {
             write_event(
                 &mut writer,
                 &Event::Error {
@@ -269,7 +290,6 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
             }
         }
     }
-    Ok(())
 }
 
 /// Streams one job's phases to the client until a terminal event.

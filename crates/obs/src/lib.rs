@@ -13,8 +13,8 @@
 //!
 //! * **Wall** — host wall-clock measurements (barrier waits, drain times,
 //!   store I/O latency). Non-deterministic by nature; these may appear in
-//!   perf artifacts (`BENCH_hotpath.json`, trace files) but must **never**
-//!   reach job keys, store records, or golden exports.
+//!   perf artifacts (the `perfbench/` results, trace files) but must
+//!   **never** reach job keys, store records, or golden exports.
 //! * **Sim** — simulated-time or pure event-count measurements (window
 //!   lengths in picoseconds, events per window, mailbox train counts).
 //!   Deterministic, but still kept out of result exports: instrumentation

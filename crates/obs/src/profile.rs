@@ -6,8 +6,9 @@
 //! [`WindowProfile`] snapshot afterwards. Two kinds of numbers live here,
 //! deliberately tagged apart (see [`TimeDomain`](crate::TimeDomain)):
 //!
-//! * **Wall**: per-worker barrier-wait time (the spin-barrier cost that the
-//!   `BENCH_hotpath.json` worker sweep shows dominating), per-shard drain
+//! * **Wall**: per-worker barrier-wait time (the window-sync cost behind
+//!   the barrier-wait fraction `tests/scale_gates.rs` prints and
+//!   `perfbench` reports as `sim.barrier_wait_frac`), per-shard drain
 //!   time.
 //! * **Sim**: per-shard event counts, mailbox envelope counts, window
 //!   length in picoseconds, events per window. These are deterministic —
@@ -314,11 +315,6 @@ impl WindowProfile {
         self.workers.iter().map(|w| w.barrier_wait_nanos).sum()
     }
 
-    /// Total no-wait phase-edge crossings over all workers.
-    pub fn early_advances(&self) -> u64 {
-        self.workers.iter().map(|w| w.early_advances).sum()
-    }
-
     /// All workers' wait histograms merged into one.
     pub fn merged_barrier_wait(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
@@ -386,67 +382,6 @@ impl WindowProfile {
         self.fused_picos += other.fused_picos;
         self.window_len_picos.merge(&other.window_len_picos);
         self.events_per_window.merge(&other.events_per_window);
-    }
-
-    /// Renders the profile as one JSON object (used by `perf_smoke
-    /// --profile` for the `BENCH_hotpath.json` breakdown). Wall-domain
-    /// fields are labelled `*_ns`; everything else is sim/count domain.
-    pub fn render_json(&self, wall_nanos: u64, workers: usize) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"windows\": {}, \"syncs\": {}, \"window_sim_picos\": {}, \
-             \"fused_windows\": {}, \"fused_sim_picos\": {}, \"early_advances\": {}, \
-             \"barrier_wait_ns_total\": {}, \"barrier_wait_fraction\": {:.6}, \
-             \"shard_event_imbalance\": {:.6}, \"events_per_window_mean\": {:.3}, \
-             \"window_len_picos_p50\": {}, \"window_len_picos_p99\": {}",
-            self.windows,
-            self.syncs,
-            self.window_picos,
-            self.fused_windows,
-            self.fused_picos,
-            self.early_advances(),
-            self.barrier_wait_nanos(),
-            self.barrier_wait_fraction(wall_nanos, workers),
-            self.shard_event_imbalance(),
-            self.events_per_window.mean(),
-            self.window_len_picos.quantile_bound(0.50),
-            self.window_len_picos.quantile_bound(0.99),
-        ));
-        out.push_str(", \"shards\": [");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"shard\": {i}, \"events\": {}, \"drain_ns\": {}, \"mailbox_in\": {}}}",
-                shard.events, shard.drain_nanos, shard.mailbox_in
-            ));
-        }
-        out.push_str("], \"workers\": [");
-        let mut rendered = 0;
-        for (i, worker) in self.workers.iter().enumerate() {
-            if worker.barrier_waits == 0
-                && worker.barrier_wait_nanos == 0
-                && worker.early_advances == 0
-                && i >= workers
-            {
-                continue;
-            }
-            if rendered > 0 {
-                out.push_str(", ");
-            }
-            rendered += 1;
-            out.push_str(&format!(
-                "{{\"worker\": {i}, \"barrier_wait_ns\": {}, \"barrier_waits\": {}, \
-                 \"early_advances\": {}, \"wait_ns_p99\": {}}}",
-                worker.barrier_wait_nanos,
-                worker.barrier_waits,
-                worker.early_advances,
-                worker.wait_histogram.quantile_bound(0.99)
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -541,9 +476,6 @@ mod tests {
         assert!((profile.shard_event_imbalance() - 1.5).abs() < 1e-12);
         // 1000 ns of waiting over 2 workers × 1000 ns of wall = 0.5.
         assert!((profile.barrier_wait_fraction(1000, 2) - 0.5).abs() < 1e-12);
-        let json = profile.render_json(1000, 2);
-        assert!(json.contains("\"barrier_wait_fraction\": 0.5"));
-        assert!(json.contains("\"shard_event_imbalance\": 1.5"));
-        assert!(json.contains("\"events\": 30"));
+        assert_eq!(profile.shard_events(), [30, 10]);
     }
 }

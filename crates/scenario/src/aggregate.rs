@@ -47,20 +47,6 @@ pub struct CellSummary {
     pub route_cache_hit_rate: f64,
     /// Total engine events processed across replicates (deterministic).
     pub events_processed: u64,
-    /// Total wall-clock nanoseconds across replicates. **Not** deterministic;
-    /// reported by perf harnesses, excluded from byte-stable exports.
-    pub wall_nanos: u64,
-}
-
-impl CellSummary {
-    /// Engine events per wall-clock second across the cell's replicates.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events_processed as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
 }
 
 /// Groups job records by cell and reduces each group. Records arrive in
@@ -100,7 +86,6 @@ fn reduce_cell(members: &[JobRecord]) -> CellSummary {
         topology_reconfigurations: 0,
         route_cache_hit_rate: 0.0,
         events_processed: 0,
-        wall_nanos: 0,
     };
     let mut packet_hist = Histogram::new();
     let mut queue_hist = Histogram::new();
@@ -126,7 +111,6 @@ fn reduce_cell(members: &[JobRecord]) -> CellSummary {
                 cache_hits += s.route_cache_hits;
                 cache_misses += s.route_cache_misses;
                 cell.events_processed += result.events_processed;
-                cell.wall_nanos += result.wall_nanos;
                 power_sum += s.mean_power_w;
                 cell.max_power_w = cell.max_power_w.max(s.max_power_w);
                 if result.all_flows_complete {
@@ -184,7 +168,6 @@ mod tests {
             queueing_latency: metrics.queueing_latency.clone(),
             all_flows_complete: complete,
             events_processed: 10,
-            wall_nanos: 1000,
         };
         JobRecord {
             job: Job {

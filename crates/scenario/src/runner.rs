@@ -45,21 +45,6 @@ pub struct JobResult {
     /// Engine events processed (deterministic: identical across shard and
     /// thread counts).
     pub events_processed: u64,
-    /// Wall-clock nanoseconds the engine spent on this job. **Not**
-    /// deterministic — used for perf reporting only, never exported in the
-    /// byte-stable CSV/JSON.
-    pub wall_nanos: u64,
-}
-
-impl JobResult {
-    /// Engine events per wall-clock second for this job.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events_processed as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
 }
 
 /// One job together with its outcome, in matrix order.
@@ -103,16 +88,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> JobResult {
     config.workers = 1;
     let mut fabric = ShardedFabric::new(config, flows);
     apply_phy_policy(spec, fabric.phy_mut());
-    let start = std::time::Instant::now();
     let run = fabric.run();
-    let wall_nanos = start.elapsed().as_nanos() as u64;
     JobResult {
         summary: run.metrics.summary(),
         packet_latency: run.metrics.packet_latency.clone(),
         queueing_latency: run.metrics.queueing_latency.clone(),
         all_flows_complete: run.all_flows_complete,
         events_processed: run.events_processed,
-        wall_nanos,
     }
 }
 

@@ -9,8 +9,8 @@
 //!
 //! Each file records the canonical spec JSON (the hash preimage, kept for
 //! debugging and audits) and the job's outcome. Everything stored is
-//! deterministic simulation output — wall-clock timings are explicitly *not*
-//! persisted, so a cache hit reproduces the exact bytes a fresh run would
+//! deterministic simulation output (a job result carries no wall-clock
+//! timing), so a cache hit reproduces the exact bytes a fresh run would
 //! export. Failed jobs are cached too (panics are deterministic), which is
 //! what makes "a warm re-run executes zero jobs" hold unconditionally.
 //!
@@ -435,9 +435,6 @@ fn decode_outcome(doc: &JsonValue) -> Option<JobOutcome> {
         queueing_latency: decode_histogram(doc.get("queueing_latency")?)?,
         all_flows_complete: doc.get("all_flows_complete")?.as_bool()?,
         events_processed: doc.get("events_processed")?.as_u64()?,
-        // Wall-clock is never persisted: it is the one non-deterministic
-        // field, and cache hits cost no engine time anyway.
-        wall_nanos: 0,
     };
     Some(JobOutcome::Completed(Box::new(result)))
 }
@@ -655,7 +652,6 @@ mod tests {
         assert_eq!(back.summary, result.summary);
         assert_eq!(back.all_flows_complete, result.all_flows_complete);
         assert_eq!(back.events_processed, result.events_processed);
-        assert_eq!(back.wall_nanos, 0, "wall-clock must not be persisted");
         assert_eq!(
             back.packet_latency.sparse_counts(),
             result.packet_latency.sparse_counts()

@@ -10,7 +10,9 @@
 //! 2. N threads submitting the **same** command concurrently cost one
 //!    store execution and receive one byte-identical answer,
 //! 3. queued jobs cancel over the wire, the queue bound rejects overload,
-//!    and neither disturbs the surviving jobs' bytes.
+//!    and neither disturbs the surviving jobs' bytes,
+//! 4. a request line past `MAX_REQUEST_LINE` is refused and its connection
+//!    closed, and the daemon keeps answering other connections unchanged.
 //!
 //! Flake resistance: the daemon binds port 0 (OS-assigned, no collisions),
 //! every wait is bounded by a generous deadline, and a timeout panics with
@@ -21,6 +23,7 @@ use rackfabric::prelude::TopologySpec;
 use rackfabric_cmd::command::Command;
 use rackfabric_cmd::executor::Executor;
 use rackfabric_daemon::prelude::*;
+use rackfabric_daemon::proto::MAX_REQUEST_LINE;
 use rackfabric_obs::metrics::Registry;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::prelude::*;
@@ -28,6 +31,8 @@ use rackfabric_sim::prelude::*;
 use rackfabric_sweep::key::canonical_spec_json;
 use rackfabric_sweep::lock::StoreLock;
 use rackfabric_sweep::store::ResultStore;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,6 +98,17 @@ fn reference_lines(dir: &PathBuf, commands: &[Command]) -> Vec<String> {
                 .1
         })
         .collect()
+}
+
+/// Sends `line` on a fresh connection and returns the first line answered,
+/// verbatim.
+fn raw_exchange(addr: SocketAddr, line: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    stream.write_all(line).unwrap();
+    let mut answer = String::new();
+    BufReader::new(stream).read_line(&mut answer).unwrap();
+    answer
 }
 
 /// Bounded wait with diagnostics: on deadline, panics with the scheduler
@@ -338,6 +354,59 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
     assert_eq!(counts.cancelled, 1);
     assert_eq!(counts.rejected, 1);
     assert_eq!(counts.completed, 3, "A, B (cancelled) and C are terminal");
+
+    client.shutdown().unwrap();
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_keeps_answering() {
+    let ref_dir = tmp_dir("long-line-ref");
+    let dir = tmp_dir("long-line");
+    let pool = spec_pool(1);
+    let reference = reference_lines(&ref_dir, &pool);
+
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    let cold = client.submit("tenant-0", 0, pool[0].clone()).unwrap();
+    assert!(!cold.cached);
+    assert_eq!(cold.result_json, reference[0]);
+    let status = format!("{}\n", Request::Status.canonical_json());
+    let status_before = raw_exchange(daemon.addr(), status.as_bytes());
+
+    // One byte past the cap before the newline: nested brackets, which the
+    // daemon must never buffer in full or hand to the parser.
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut line = vec![b'['; MAX_REQUEST_LINE + 1];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut answer = String::new();
+    reader.read_line(&mut answer).unwrap();
+    let refused = Event::Error {
+        job: None,
+        reason: "request line too long".to_string(),
+    };
+    assert_eq!(answer, format!("{}\n", refused.canonical_json()));
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the refused connection must be closed, got {rest:?}"
+    );
+
+    // A fresh connection sees the same counters, and a warm submit the
+    // same bytes.
+    assert_eq!(
+        raw_exchange(daemon.addr(), status.as_bytes()),
+        status_before,
+        "a refused line must not move the scheduler counters"
+    );
+    let warm = client.submit("tenant-0", 0, pool[0].clone()).unwrap();
+    assert!(warm.cached, "the second submit is a warm hit");
+    assert_eq!(warm.result_json, cold.result_json);
 
     client.shutdown().unwrap();
     daemon.wait();

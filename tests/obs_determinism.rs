@@ -61,6 +61,8 @@ fn traced_runner_exports_identical_bytes() {
 
 #[test]
 fn profiled_sharded_engine_computes_identical_results() {
+    // 4 shards drained by 4 window workers, profiled and traced: every
+    // worker crosses the window barrier with instrumentation live.
     let run = |instrument: bool| {
         let spec = ScenarioSpec::new(
             "obs-shard",
@@ -71,7 +73,7 @@ fn profiled_sharded_engine_computes_identical_results() {
         .horizon(SimTime::from_millis(20));
         let flows = spec.build_flows();
         let mut config = ShardedConfig::new(spec.to_fabric_config(), 4);
-        config.workers = 2;
+        config.workers = 4;
         if instrument {
             config.profile = true;
             config.observer = Observer::enabled();

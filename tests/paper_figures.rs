@@ -17,6 +17,11 @@
 //!   was already journaled and stored (the crash-recovery gate),
 //! * a perturbed export must *fail* the comparison with a readable
 //!   per-column diff (the drift detector itself is tested).
+//!
+//! The paper's claims are then checked against the checked-in goldens
+//! themselves (no simulation runs): switching latency dwarfs media
+//! latency, bypassing switches cuts latency, and CRC-driven grid→torus
+//! reconfiguration beats the static fabric at paper scale.
 
 use rackfabric_bench::figures::{self, FigureOptions, FigureResolver, Scale};
 use rackfabric_cmd::command::Command;
@@ -24,6 +29,7 @@ use rackfabric_cmd::Executor;
 use rackfabric_daemon::prelude::*;
 use rackfabric_scenario::runner::Runner;
 use rackfabric_sweep::prelude::*;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -270,4 +276,150 @@ fn figure_store_gc_reclaims_nothing_while_campaigns_are_live() {
     assert_eq!(stats.removed, 0);
     assert_eq!(stats.kept, live.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One checked-in golden export as rows of `column -> value`.
+fn golden_rows(scale: Scale, file: &str) -> Vec<HashMap<String, String>> {
+    let path = golden_root().join(scale.golden_dir()).join(file);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().expect("a header row").split(',').collect();
+    lines
+        .map(|line| {
+            let row: HashMap<String, String> = header
+                .iter()
+                .map(|h| h.to_string())
+                .zip(line.split(',').map(str::to_string))
+                .collect();
+            assert_eq!(row.len(), header.len(), "{file}: ragged row {line:?}");
+            row
+        })
+        .collect()
+}
+
+/// A numeric cell of a golden row.
+fn num(row: &HashMap<String, String>, column: &str) -> f64 {
+    row[column]
+        .parse()
+        .unwrap_or_else(|e| panic!("{column} = {:?}: {e}", row[column]))
+}
+
+/// The job completion time of the single row matching every
+/// `(column, value)` pair.
+fn jct_where(rows: &[HashMap<String, String>], matches: &[(&str, &str)]) -> f64 {
+    let found: Vec<_> = rows
+        .iter()
+        .filter(|r| matches.iter().all(|(c, v)| r[*c] == *v))
+        .collect();
+    assert_eq!(found.len(), 1, "exactly one row with {matches:?}");
+    num(found[0], "job_completion_us")
+}
+
+#[test]
+fn e1_switching_dwarfs_media_and_store_and_forward_is_slower() {
+    for scale in [Scale::Tiny, Scale::Paper] {
+        let rows = golden_rows(scale, "e1_latency_vs_hops.csv");
+        let arm =
+            |switch: &str| -> Vec<_> { rows.iter().filter(|r| r["switch"] == switch).collect() };
+        let (cut_through, store_fwd) = (arm("cut-through"), arm("store-fwd"));
+        assert!(cut_through.len() >= 4, "{scale:?}: too few hops");
+        assert_eq!(cut_through.len(), store_fwd.len());
+        for row in &rows {
+            assert!(
+                num(row, "switching_ns") > 5.0 * num(row, "media_ns"),
+                "{scale:?}: switching must dwarf media at every hop: {row:?}"
+            );
+        }
+        for (ct, sf) in cut_through.iter().zip(&store_fwd) {
+            assert_eq!(ct["hops"], sf["hops"]);
+            assert!(
+                num(sf, "total_ns") > num(ct, "total_ns"),
+                "{scale:?}: store-and-forward must be slower at {} hops",
+                ct["hops"]
+            );
+        }
+        for pair in cut_through.windows(2) {
+            assert!(num(pair[1], "media_ns") > num(pair[0], "media_ns"));
+            assert!(num(pair[1], "switching_ns") > num(pair[0], "switching_ns"));
+        }
+    }
+}
+
+#[test]
+fn e5_e6_e7_analytic_figures_hold_their_claims() {
+    for scale in [Scale::Tiny, Scale::Paper] {
+        // e5: ten reconfiguration times; the worthwhile flow size grows
+        // with the reconfiguration time.
+        let e5 = golden_rows(scale, "e5_breakeven.csv");
+        assert_eq!(e5.len(), 10);
+        for pair in e5.windows(2) {
+            assert!(num(&pair[1], "min_flow_kib") > num(&pair[0], "min_flow_kib"));
+        }
+        // e6: as the channel degrades, the chosen codec never weakens.
+        let e6 = golden_rows(scale, "e6_adaptive_fec.csv");
+        for pair in e6.windows(2) {
+            assert!(num(&pair[1], "pre_ber_log10") > num(&pair[0], "pre_ber_log10"));
+            assert!(
+                num(&pair[1], "mode_index") >= num(&pair[0], "mode_index"),
+                "{scale:?}: codec weakened as the channel degraded: {pair:?}"
+            );
+        }
+        // e7: the DES switch model stays within 25% of the cycle model.
+        for row in golden_rows(scale, "e7_validation.csv") {
+            assert!(num(&row, "relative_error") <= 0.25, "{row:?}");
+        }
+    }
+}
+
+#[test]
+fn e8_bypass_never_adds_latency_and_full_bypass_saves_a_fifth() {
+    for scale in [Scale::Tiny, Scale::Paper] {
+        let rows = golden_rows(scale, "e8_bypass.csv");
+        let latency: Vec<f64> = rows.iter().map(|r| num(r, "latency_ns")).collect();
+        assert!(latency.len() >= 4, "{scale:?}: too few bypass depths");
+        assert!(
+            latency.windows(2).all(|w| w[1] <= w[0]),
+            "{scale:?}: latency rose with more bypassed nodes: {latency:?}"
+        );
+        assert!(
+            latency[latency.len() - 1] < 0.8 * latency[0],
+            "{scale:?}: full bypass must save > 20%: {latency:?}"
+        );
+    }
+}
+
+#[test]
+fn paper_scale_reconfiguration_and_adaptive_routing_win() {
+    // e2: with electrical-class PLP timing the CRC's grid→torus upgrade
+    // finishes the shuffle before the static grid does.
+    let e2 = golden_rows(Scale::Paper, "e2_reconfiguration.csv");
+    let jct = |controller| jct_where(&e2, &[("controller", controller), ("plp", "split-20us")]);
+    assert!(
+        jct("hybrid") < jct("baseline"),
+        "e2: hybrid must beat baseline"
+    );
+
+    // e3: the adaptive fabric beats the static grid from 16 nodes up.
+    let e3 = golden_rows(Scale::Paper, "e3_mapreduce_scaling.csv");
+    for nodes in ["16", "25", "36"] {
+        let jct = |controller| jct_where(&e3, &[("nodes", nodes), ("controller", controller)]);
+        assert!(
+            jct("hybrid") < jct("baseline"),
+            "e3: hybrid must beat baseline at {nodes} nodes"
+        );
+    }
+
+    // e11: adaptive routing is no slower than minimal, and minimal beats
+    // Valiant, on the reconfiguring grid and on the dragonfly alike.
+    let e11 = golden_rows(Scale::Paper, "e11_fabric_vs_routing.csv");
+    let mut fabrics: Vec<&str> = e11.iter().map(|r| r["fabric"].as_str()).collect();
+    fabrics.dedup();
+    assert_eq!(fabrics.len(), 2);
+    for fabric in fabrics {
+        let jct = |routing| jct_where(&e11, &[("fabric", fabric), ("routing", routing)]);
+        assert!(
+            jct("adaptive") <= jct("minimal") && jct("minimal") < jct("valiant"),
+            "e11 on {fabric}: want adaptive <= minimal < valiant"
+        );
+    }
 }

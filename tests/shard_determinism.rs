@@ -36,7 +36,7 @@ fn sharded_matrix(shards: usize) -> Matrix {
 fn one_shard_and_n_shards_export_identical_bytes() {
     let one = Runner::single_threaded().run(&sharded_matrix(1));
     assert_eq!(one.failed_jobs(), 0);
-    for shards in [2, 3, 9] {
+    for shards in [2, 3, 4, 9] {
         let many = Runner::single_threaded().run(&sharded_matrix(shards));
         assert_eq!(
             one.to_csv(),
